@@ -1,11 +1,11 @@
-//! Artifact format comparison: v1 (wide 16-bit code lanes) vs v2
-//! (bit-packed zero-copy code streams). Measures serialized size and
-//! cold-start cost — decode (`from_bytes`) plus the first inference —
-//! for both formats, then runs the certified optimizer over a
-//! dead-row-injected copy of the model and records how many bytes the
-//! translation-validated compaction wins back plus the table-gather
-//! throughput before/after. Writes `BENCH_artifact.json` at the repo
-//! root so successive PRs can track the format's size/latency
+//! Artifact cost in the one format (v2, bit-packed zero-copy code
+//! streams): serialized size and cold-start cost — strict load
+//! (`from_bytes_strict`: decode plus analysis) and the first inference —
+//! then the certified optimizer over a dead-row-injected copy of the
+//! model, recording how many bytes the translation-validated compaction
+//! wins back plus the table-gather throughput before/after. Writes
+//! `BENCH_artifact.json` at the repo root (with the machine's core
+//! count) so successive changes can track the format's size/latency
 //! trajectory.
 //!
 //! Set `BENCH_ARTIFACT_QUICK=1` to shrink the workload for CI smoke
@@ -31,22 +31,21 @@ fn main() {
     let features = model.input_features();
     let input: Vec<f32> = (0..features).map(|_| rng.uniform(-1.0, 1.0)).collect();
 
-    let v1 = model.to_bytes_v1();
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let v2 = model.to_bytes();
-    let ratio = v1.len() as f64 / v2.len() as f64;
 
-    // Both loaders must agree bit-for-bit before timing anything.
-    let out_v1 = CompiledModel::from_bytes(&v1)
+    // The loaded artifact must agree bit-for-bit with the in-memory
+    // model before timing anything.
+    let loaded = CompiledModel::from_bytes_strict(&v2)
         .unwrap()
         .infer(&input)
         .unwrap();
-    let out_v2 = CompiledModel::from_bytes(&v2)
-        .unwrap()
-        .infer(&input)
-        .unwrap();
-    assert_eq!(out_v1, out_v2, "v1/v2 inference diverged");
+    assert_eq!(
+        loaded,
+        model.infer(&input).unwrap(),
+        "v2 inference diverged"
+    );
 
-    let cold_v1 = cold_start_us(&v1, &input, loads);
     let cold_v2 = cold_start_us(&v2, &input, loads);
 
     // Certified optimizer: pad the model with provably dead table rows
@@ -66,7 +65,7 @@ fn main() {
     );
     assert_eq!(
         model.infer(&input).unwrap(),
-        CompiledModel::from_bytes(&opt_bytes)
+        CompiledModel::from_bytes_strict(&opt_bytes)
             .unwrap()
             .infer(&input)
             .unwrap(),
@@ -77,12 +76,7 @@ fn main() {
     let gather_before = infer_us(&padded_model, &input, infers);
     let gather_after = infer_us(&opt_model, &input, infers);
 
-    println!("artifact v1 (wide)    {:>10} bytes", v1.len());
-    println!(
-        "artifact v2 (packed)  {:>10} bytes  ({ratio:.2}x smaller)",
-        v2.len()
-    );
-    println!("load+first-infer v1   {cold_v1:>10.1} us");
+    println!("artifact v2 (packed)  {:>10} bytes", v2.len());
     println!("load+first-infer v2   {cold_v2:>10.1} us");
     println!("dead-padded v2        {:>10} bytes", padded_bytes.len());
     println!(
@@ -97,10 +91,9 @@ fn main() {
             "{{\n",
             "  \"benchmark\": \"artifact\",\n",
             "  \"pipeline\": \"mnist-tiny\",\n",
-            "  \"v1_bytes\": {v1_bytes},\n",
+            "  \"cores\": {cores},\n",
+            "  \"quick\": {quick},\n",
             "  \"v2_bytes\": {v2_bytes},\n",
-            "  \"size_ratio\": {ratio:.3},\n",
-            "  \"v1_load_first_infer_us\": {cold_v1:.1},\n",
             "  \"v2_load_first_infer_us\": {cold_v2:.1},\n",
             "  \"optimizer\": {{\n",
             "    \"padded_v2_bytes\": {padded_bytes},\n",
@@ -115,10 +108,9 @@ fn main() {
             "  }}\n",
             "}}\n"
         ),
-        v1_bytes = v1.len(),
+        cores = cores,
+        quick = quick,
         v2_bytes = v2.len(),
-        ratio = ratio,
-        cold_v1 = cold_v1,
         cold_v2 = cold_v2,
         padded_bytes = padded_bytes.len(),
         opt_bytes = opt_bytes.len(),
@@ -142,7 +134,7 @@ fn main() {
 fn cold_start_us(bytes: &[u8], input: &[f32], loads: usize) -> f64 {
     let start = Instant::now();
     for _ in 0..loads {
-        let model = CompiledModel::from_bytes(std::hint::black_box(bytes)).unwrap();
+        let model = CompiledModel::from_bytes_strict(std::hint::black_box(bytes)).unwrap();
         std::hint::black_box(model.infer(input).unwrap());
     }
     start.elapsed().as_secs_f64() * 1e6 / loads as f64

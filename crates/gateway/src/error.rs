@@ -28,13 +28,13 @@ pub enum GatewayError {
     /// carries the full diagnostics (422).
     Rejected(Box<Report>),
     /// The artifact is well-framed but stamped with a format version
-    /// this build does not read — "from the future", not corrupt
-    /// bytes, so operators know to upgrade the gateway rather than
-    /// rebuild the artifact (422).
+    /// this build does not read — a future version or the retired v1,
+    /// not corrupt bytes, so operators know to match the gateway and
+    /// the exporter rather than hunt for corruption (422).
     UnsupportedArtifactVersion {
         /// Version stamped in the uploaded artifact.
         found: u32,
-        /// Newest version this gateway reads.
+        /// The one version this gateway reads.
         supported: u32,
     },
     /// A replacement artifact changed the model's I/O shape (422).
@@ -91,10 +91,10 @@ impl GatewayError {
     pub(crate) fn from_artifact_failure(bytes: &[u8], e: ServeError) -> GatewayError {
         match e {
             ServeError::Rejected(report) => GatewayError::Rejected(report),
-            // A version from the future is an operator problem (upgrade
-            // the gateway), not an artifact problem — keep it out of
-            // the corrupt-bytes lint fold so the 422 reason stays
-            // honest and actionable.
+            // A version skew (future or retired v1) is an operator
+            // problem, not an artifact problem — keep it out of the
+            // corrupt-bytes lint fold so the 422 reason stays honest
+            // and actionable.
             ServeError::Artifact(ArtifactError::UnsupportedVersion { found, supported }) => {
                 GatewayError::UnsupportedArtifactVersion { found, supported }
             }
@@ -130,7 +130,7 @@ impl fmt::Display for GatewayError {
             }
             GatewayError::UnsupportedArtifactVersion { found, supported } => write!(
                 f,
-                "artifact format version {found} is newer than this gateway reads (up to {supported}); upgrade the gateway or re-export the artifact"
+                "artifact format version {found} is not the version this gateway reads ({supported}); re-export the artifact or upgrade the gateway to match"
             ),
             GatewayError::WidthMismatch {
                 name,

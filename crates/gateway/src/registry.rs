@@ -19,6 +19,10 @@
 //!   old engine drains with a deadline. Verification or warmup failure
 //!   rolls back: the old engine never stops serving.
 //!
+//! The slot holds each engine together with its generation number, so
+//! [`Registry::infer_labeled`] reports the generation of the engine that
+//! actually answered, even when a cutover lands mid-request.
+//!
 //! The swap sequence never drops accepted work. In-flight requests hold
 //! an `Arc` to the engine slot they submitted to; the swap waits for
 //! those references to drop (the old engine is still serving them)
@@ -63,18 +67,23 @@ impl Default for RegistryConfig {
     }
 }
 
+/// One generation of a model: the engine serving it and the number of
+/// completed swaps that produced it (`0` for the initially registered
+/// artifact). They swap as one, so a label never names another engine.
+struct Served {
+    engine: Engine,
+    generation: u64,
+}
+
 /// One model's serving state behind the registry.
 struct ModelEntry {
     name: String,
-    /// Current engine. Requests clone the `Arc` under the read lock and
-    /// submit outside it; a swap replaces the `Arc` under the write
+    /// Current generation. Requests clone the `Arc` under the read lock
+    /// and submit outside it; a swap replaces the `Arc` under the write
     /// lock, so cutover is atomic with respect to new submissions.
-    slot: RwLock<Arc<Engine>>,
+    slot: RwLock<Arc<Served>>,
     /// Requests currently inside this model (queued or executing).
     inflight: AtomicU64,
-    /// Completed swaps; `0` until the first successful `put` over an
-    /// existing model.
-    generation: AtomicU64,
     /// Serializes swaps per model; a contended lock is a 409, not a
     /// queue of competing artifact uploads.
     swapping: Mutex<()>,
@@ -86,6 +95,28 @@ struct ModelEntry {
     /// generation's artifact (`PUT`'s `x-optimize` opt-in); `None` when
     /// this generation was served as uploaded.
     optimized: Mutex<Option<OptimizeStats>>,
+}
+
+impl ModelEntry {
+    /// A fresh entry serving `engine` as generation 0.
+    fn new(
+        name: &str,
+        engine: Engine,
+        engine_config: EngineConfig,
+        optimized: Option<OptimizeStats>,
+    ) -> Arc<ModelEntry> {
+        Arc::new(ModelEntry {
+            name: name.to_string(),
+            slot: RwLock::new(Arc::new(Served {
+                engine,
+                generation: 0,
+            })),
+            inflight: AtomicU64::new(0),
+            swapping: Mutex::new(()),
+            engine_config: Mutex::new(engine_config),
+            optimized: Mutex::new(optimized),
+        })
+    }
 }
 
 /// What [`CompiledModel::optimize`] removed from an uploaded artifact,
@@ -199,30 +230,16 @@ impl Registry {
 
     /// Registers a new model under `name` from an in-memory compiled
     /// model (the in-process path; the HTTP path is
-    /// [`put_artifact`](Self::put_artifact)).
-    ///
-    /// The model is statically verified first unless it already is.
+    /// [`put_artifact`](Self::put_artifact)). The analyzer already
+    /// accepted the model when it was built, so it serves as is.
     ///
     /// # Errors
     ///
-    /// [`GatewayError::InvalidName`], [`GatewayError::AlreadyExists`],
-    /// or [`GatewayError::Rejected`] when the analyzer finds errors.
-    pub fn register(&self, name: &str, mut model: CompiledModel) -> Result<(), GatewayError> {
+    /// [`GatewayError::InvalidName`] or [`GatewayError::AlreadyExists`].
+    pub fn register(&self, name: &str, model: CompiledModel) -> Result<(), GatewayError> {
         validate_name(name)?;
-        if !model.is_verified() {
-            model
-                .verify()
-                .map_err(|e| GatewayError::from_serve(name, e))?;
-        }
-        let entry = Arc::new(ModelEntry {
-            name: name.to_string(),
-            slot: RwLock::new(Arc::new(Engine::start(model, self.config.engine.clone()))),
-            inflight: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
-            swapping: Mutex::new(()),
-            engine_config: Mutex::new(self.config.engine.clone()),
-            optimized: Mutex::new(None),
-        });
+        let engine = Engine::start(model, self.config.engine.clone());
+        let entry = ModelEntry::new(name, engine, self.config.engine.clone(), None);
         let mut models = self.write_models();
         if models.contains_key(name) {
             // The freshly started engine never took traffic; drop joins it.
@@ -318,15 +335,7 @@ impl Registry {
                     let engine = Engine::start(model, engine_config.clone());
                     self.warm(&engine)?;
                     let served_stages = engine.stage_count();
-                    let entry = Arc::new(ModelEntry {
-                        name: name.to_string(),
-                        slot: RwLock::new(Arc::new(engine)),
-                        inflight: AtomicU64::new(0),
-                        generation: AtomicU64::new(0),
-                        swapping: Mutex::new(()),
-                        engine_config: Mutex::new(engine_config),
-                        optimized: Mutex::new(optimized),
-                    });
+                    let entry = ModelEntry::new(name, engine, engine_config, optimized);
                     let mut models = self.write_models();
                     if models.contains_key(name) {
                         return Err(GatewayError::SwapInProgress(name.to_string()));
@@ -365,11 +374,9 @@ impl Registry {
         };
         // The replacement must honour the model's wire contract.
         let (cur_in, cur_out) = {
-            let slot = read_slot(&entry.slot);
-            (
-                slot.model().input_features(),
-                slot.model().output_features(),
-            )
+            let served = read_slot(&entry.slot);
+            let model = served.engine.model();
+            (model.input_features(), model.output_features())
         };
         if (model.input_features(), model.output_features()) != (cur_in, cur_out) {
             return Err(GatewayError::WidthMismatch {
@@ -399,10 +406,12 @@ impl Registry {
         }
         let served_stages = engine.stage_count();
         // Atomic cutover: every submission after this write lock drops
-        // lands on the new engine.
-        let old = {
+        // lands on the new engine, which carries its own generation.
+        let (old, generation) = {
             let mut slot = write_slot(&entry.slot);
-            std::mem::replace(&mut *slot, Arc::new(engine))
+            let generation = slot.generation + 1;
+            let next = Arc::new(Served { engine, generation });
+            (std::mem::replace(&mut *slot, next), generation)
         };
         *entry
             .engine_config
@@ -412,7 +421,6 @@ impl Registry {
             .optimized
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner) = optimized;
-        let generation = entry.generation.fetch_add(1, Ordering::AcqRel) + 1;
         let (old_stats, drained) = drain_displaced(old, self.config.drain_deadline);
         Ok(SwapReport {
             created: false,
@@ -444,7 +452,21 @@ impl Registry {
         Ok(())
     }
 
-    /// Serves one request against `name`, applying admission control.
+    /// Serves one request against `name`, applying admission control —
+    /// [`infer_labeled`](Self::infer_labeled) for in-process callers
+    /// that need no generation label.
+    ///
+    /// # Errors
+    ///
+    /// As [`infer_labeled`](Self::infer_labeled).
+    pub fn infer(&self, name: &str, input: Vec<f32>) -> Result<Vec<f32>, GatewayError> {
+        self.infer_labeled(name, input).map(|(output, _)| output)
+    }
+
+    /// Serves one request against `name`, applying admission control,
+    /// and returns the output with the generation of the engine that
+    /// produced it — read from the same slot the request was submitted
+    /// to, so a concurrent cutover cannot mislabel it.
     ///
     /// # Errors
     ///
@@ -452,14 +474,18 @@ impl Registry {
     /// in-flight budget or the engine queue is exhausted,
     /// [`GatewayError::InvalidInput`] for a width mismatch, or the
     /// underlying serve failure.
-    pub fn infer(&self, name: &str, input: Vec<f32>) -> Result<Vec<f32>, GatewayError> {
+    pub fn infer_labeled(
+        &self,
+        name: &str,
+        input: Vec<f32>,
+    ) -> Result<(Vec<f32>, u64), GatewayError> {
         let entry = self.entry(name)?;
         // Admission: one budget covering queue + execution time. The
         // guard releases the slot on every path below.
         let admitted = entry.inflight.fetch_add(1, Ordering::AcqRel);
         let _guard = InflightGuard(&entry.inflight);
         if admitted >= self.config.max_inflight as u64 {
-            read_slot(&entry.slot).metrics().record_shed();
+            read_slot(&entry.slot).engine.metrics().record_shed();
             return Err(GatewayError::Shed {
                 retry_after: self.config.retry_after,
             });
@@ -470,10 +496,14 @@ impl Registry {
         // the swap invisible to clients. Bounded, because each retry
         // observes a strictly newer slot and swaps are serialized.
         for _attempt in 0..8 {
-            let engine = read_slot(&entry.slot);
+            let served = read_slot(&entry.slot);
+            let engine = &served.engine;
             match engine.try_submit(input.clone()) {
                 Ok(ticket) => {
-                    return ticket.wait().map_err(|e| GatewayError::from_serve(name, e));
+                    return ticket
+                        .wait()
+                        .map(|output| (output, served.generation))
+                        .map_err(|e| GatewayError::from_serve(name, e));
                 }
                 Err(ServeError::QueueFull) => {
                     engine.metrics().record_shed();
@@ -498,14 +528,15 @@ impl Registry {
     /// [`GatewayError::UnknownModel`].
     pub fn stats(&self, name: &str) -> Result<ModelStats, GatewayError> {
         let entry = self.entry(name)?;
-        let slot = read_slot(&entry.slot);
+        let served = read_slot(&entry.slot);
+        let slot = &served.engine;
         let optimized = *entry
             .optimized
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         Ok(ModelStats {
             name: entry.name.clone(),
-            generation: entry.generation.load(Ordering::Acquire),
+            generation: served.generation,
             input_features: slot.model().input_features(),
             output_features: slot.model().output_features(),
             inflight: entry.inflight.load(Ordering::Acquire),
@@ -578,7 +609,7 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-fn read_slot(slot: &RwLock<Arc<Engine>>) -> Arc<Engine> {
+fn read_slot(slot: &RwLock<Arc<Served>>) -> Arc<Served> {
     Arc::clone(
         &slot
             .read()
@@ -586,7 +617,7 @@ fn read_slot(slot: &RwLock<Arc<Engine>>) -> Arc<Engine> {
     )
 }
 
-fn write_slot(slot: &RwLock<Arc<Engine>>) -> std::sync::RwLockWriteGuard<'_, Arc<Engine>> {
+fn write_slot(slot: &RwLock<Arc<Served>>) -> std::sync::RwLockWriteGuard<'_, Arc<Served>> {
     slot.write()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -596,13 +627,13 @@ fn write_slot(slot: &RwLock<Arc<Engine>>) -> std::sync::RwLockWriteGuard<'_, Arc
 /// what remains of the deadline. Returns `(final stats, fully joined)`;
 /// on deadline the engine is simply released — its last reference
 /// holder joins the workers on drop, so accepted requests still finish.
-fn drain_displaced(mut displaced: Arc<Engine>, deadline: Duration) -> (Option<ServerStats>, bool) {
+fn drain_displaced(mut displaced: Arc<Served>, deadline: Duration) -> (Option<ServerStats>, bool) {
     let end = Instant::now() + deadline;
     loop {
         match Arc::try_unwrap(displaced) {
-            Ok(engine) => {
+            Ok(served) => {
                 let remaining = end.saturating_duration_since(Instant::now());
-                let report = engine.drain(remaining);
+                let report = served.engine.drain(remaining);
                 return (Some(report.stats), report.joined);
             }
             Err(still_shared) => {

@@ -409,9 +409,8 @@ fn infer(registry: &Registry, name: &str, request: &Request) -> Response {
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect()
     };
-    let generation = registry.stats(name).map_or(0, |s| s.generation);
-    match registry.infer(name, input) {
-        Ok(output) => {
+    match registry.infer_labeled(name, input) {
+        Ok((output, generation)) => {
             let response = if as_text {
                 let csv = output
                     .iter()

@@ -174,10 +174,15 @@ fn hot_swap_mid_traffic_loses_nothing() {
                 "a request failed during hot-swap: {}",
                 response.body_text()
             );
+            // The generation label names the artifact whose bits the
+            // response carries, even for requests racing the cutover.
             let output = le_floats(&response.body);
+            let label = response.header("x-model-generation");
             if output == old_model.infer(&input).unwrap() {
+                assert_eq!(label, Some("0"), "old-artifact bits labelled {label:?}");
                 matched_old += 1;
             } else if output == new_model.infer(&input).unwrap() {
+                assert_eq!(label, Some("1"), "new-artifact bits labelled {label:?}");
                 matched_new += 1;
             } else {
                 panic!("output matches neither artifact bit-for-bit");
@@ -245,23 +250,28 @@ fn rejected_artifacts_leave_the_old_model_serving() {
         rejected.body_text()
     );
 
-    // An artifact stamped with a future format version: a *distinct*
-    // 422 telling the operator to upgrade the gateway, not the generic
-    // corrupt-bytes lint report.
-    let mut future = model.to_bytes();
-    future[4..8].copy_from_slice(&(rapidnn_serve::FORMAT_VERSION + 1).to_le_bytes());
-    let versioned = request(addr, "PUT", "/models/m", None, &future).unwrap();
-    assert_eq!(versioned.status, 422, "{}", versioned.body_text());
-    assert!(
-        versioned.body_text().contains("newer than this gateway"),
-        "{}",
-        versioned.body_text()
-    );
-    assert!(
-        !versioned.body_text().contains("RNA0001"),
-        "future version misreported as corruption: {}",
-        versioned.body_text()
-    );
+    // An artifact stamped with a future format version, or with the
+    // retired v1: a *distinct* 422 naming the version skew, not the
+    // generic corrupt-bytes lint report. The checksum covers only the
+    // payload, so relabelling the header keeps it valid.
+    for version in [rapidnn_serve::FORMAT_VERSION + 1, 1] {
+        let mut relabelled = model.to_bytes();
+        relabelled[4..8].copy_from_slice(&version.to_le_bytes());
+        let versioned = request(addr, "PUT", "/models/m", None, &relabelled).unwrap();
+        assert_eq!(versioned.status, 422, "{}", versioned.body_text());
+        assert!(
+            versioned
+                .body_text()
+                .contains(&format!("format version {version} is not the version")),
+            "{}",
+            versioned.body_text()
+        );
+        assert!(
+            !versioned.body_text().contains("RNA0001"),
+            "version {version} misreported as corruption: {}",
+            versioned.body_text()
+        );
+    }
 
     // A clean artifact with the wrong shape: contract violation, 422.
     let wide = request(addr, "PUT", "/models/m", None, &wider_model(32).to_bytes()).unwrap();

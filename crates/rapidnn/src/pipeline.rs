@@ -87,14 +87,15 @@ impl PipelineReport {
     ///
     /// `CompiledModel::to_bytes` serializes in format v2 — weight codes
     /// bit-packed at their cluster width, float pool laid out for
-    /// zero-copy loading; `to_bytes_v1` remains for the legacy wide
-    /// format, and loading accepts both.
+    /// zero-copy loading — the one format `from_bytes_strict` reads.
     ///
     /// # Errors
     ///
     /// Propagates [`rapidnn_serve::ArtifactError`] when the model uses a
-    /// construct the artifact format cannot express.
-    pub fn compile(&self) -> Result<rapidnn_serve::CompiledModel, rapidnn_serve::ArtifactError> {
+    /// construct the artifact format cannot express, and
+    /// [`rapidnn_serve::ServeError::Rejected`] if the static analyzer
+    /// refuses the flattened program.
+    pub fn compile(&self) -> rapidnn_serve::Result<rapidnn_serve::CompiledModel> {
         rapidnn_serve::CompiledModel::from_reinterpreted(&self.compose.reinterpreted)
     }
 

@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// Errors raised while decoding or validating a compiled-model artifact.
+/// Errors raised while decoding a compiled-model artifact.
 ///
 /// Every variant is a *typed* failure: corrupt bytes (truncation, bit
 /// flips, bad headers, inconsistent structure) must surface here and never
@@ -10,14 +10,13 @@ use std::fmt;
 pub enum ArtifactError {
     /// The buffer does not start with the `RNNA` magic.
     BadMagic,
-    /// The format version is newer than this build understands. Carries
-    /// both sides so operators can tell "artifact from the future" apart
-    /// from corrupt bytes.
+    /// The format version is not the one this build reads — a future
+    /// version or the retired v1. Carries both sides so operators can
+    /// tell a version skew apart from corrupt bytes.
     UnsupportedVersion {
         /// Version stamped in the artifact header.
         found: u32,
-        /// Newest version this build reads (it reads every version from
-        /// 1 through this one).
+        /// The one version this build reads.
         supported: u32,
     },
     /// The buffer ended before a field could be read.
@@ -55,7 +54,7 @@ impl fmt::Display for ArtifactError {
             ArtifactError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "unsupported artifact version {found} (this build reads versions 1..={supported})"
+                    "unsupported artifact version {found} (this build reads version {supported})"
                 )
             }
             ArtifactError::Truncated { needed, available } => write!(
@@ -81,7 +80,7 @@ impl std::error::Error for ArtifactError {}
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// Artifact encode/decode/validation failure.
+    /// Artifact encode/decode failure.
     Artifact(ArtifactError),
     /// A request's input does not match the model (wrong feature width).
     InvalidInput(String),
@@ -92,9 +91,10 @@ pub enum ServeError {
     /// Inference panicked inside a worker thread. The request fails but
     /// the worker survives and keeps serving.
     WorkerPanic(String),
-    /// The static analyzer found `error`-severity diagnostics during a
-    /// strict load ([`crate::CompiledModel::from_bytes_strict`]) or an
-    /// explicit [`crate::CompiledModel::verify`]. The boxed report holds
+    /// The static analyzer found `error`-severity diagnostics while a
+    /// [`crate::CompiledModel`] was being built (every constructor ends
+    /// in an analysis), or an optimizer certificate failed validation
+    /// ([`crate::CompiledModel::optimize`]). The boxed report holds
     /// every finding, not just the first.
     Rejected(Box<rapidnn_analyze::Report>),
     /// Filesystem I/O while saving or loading an artifact.

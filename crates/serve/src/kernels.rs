@@ -25,9 +25,11 @@
 //! * one weight-code row and one product table stay hot while the block
 //!   streams through them, and a block's codes (`LANES` consecutive
 //!   rows) stay L1-resident across all output neurons;
-//! * the gather index is clamped with `min`, a no-op for valid codes
-//!   that the optimiser can prove in-bounds, keeping panic branches out
-//!   of the hot loop.
+//! * the gather index is the raw input code: the analyzer proved every
+//!   code in range before the model could be built, so there is one
+//!   kernel path per op, and the indexing stays bounds-checked — a
+//!   broken hand-built model panics (contained by the engine), it never
+//!   reads out of bounds.
 //!
 //! Pools, residual joins and encode steps are element-wise or
 //! window-local and run as plain batched loops.
@@ -95,14 +97,14 @@ pub(crate) enum FlowData {
 const LANES: usize = 8;
 
 /// Output neurons processed per pass over a dense block: one code load
-/// and clamp feeds this many accumulator blocks. `OBLOCK * LANES`
-/// accumulators fill the SSE register file exactly.
+/// feeds this many accumulator blocks. `OBLOCK * LANES` accumulators
+/// fill the SSE register file exactly.
 ///
 /// 8 lanes by 2 outputs measured fastest: fewer lanes starve the
 /// floating-point add chains, more outputs spill the register file.
 const OBLOCK: usize = 2;
 
-// The u64 lane folding in `dense_block_gather` spells out eight lanes.
+// The u64 lane folding in `dense_block` spells out eight lanes.
 const _: () = assert!(LANES == 8, "lane folding assumes eight lanes");
 
 /// Reusable scratch arena executing a compiled model's op program over
@@ -235,13 +237,14 @@ impl BatchRunner {
     /// Outputs are bit-for-bit identical to calling
     /// [`CompiledModel::infer`] per row. The runner fully re-initialises
     /// its scratch state on entry, so a runner whose previous `run`
-    /// panicked (possible only on a model that bypassed validation) is
-    /// safe to reuse.
+    /// panicked (possible only on a hand-built test model that bypassed
+    /// the analyzer) is safe to reuse.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidInput`] when `inputs` is not a whole
-    /// number of feature rows. Never panics on a validated model.
+    /// number of feature rows. Never panics: every model a caller can
+    /// build was accepted by the analyzer.
     pub fn run(
         &mut self,
         model: &CompiledModel,
@@ -376,10 +379,6 @@ impl BatchRunner {
             wcodes: wcodes_scratch,
         } = self;
         let pool_f: &[f32] = model.float_pool();
-        // Statically verified models (see `CompiledModel::verify`) have
-        // proven every gather index in bounds, so the block kernels run
-        // with an identity clamp instead of the defensive `min`/mask.
-        let verified = model.verified;
         // Residual nesting is stage-local: the planner only cuts at
         // depth 0, so every range starts and ends outside all regions.
         let mut skip_depth = 0usize;
@@ -537,7 +536,6 @@ impl BatchRunner {
                                 nin,
                                 nout,
                                 tile,
-                                verified,
                             );
                             r0 += LANES;
                         }
@@ -599,7 +597,6 @@ impl BatchRunner {
                             in_vol,
                             nout,
                             tile,
-                            verified,
                         );
                         r0 += LANES;
                     }
@@ -670,9 +667,16 @@ impl BatchRunner {
                             let book = codebook.slice(pool_f);
                             load_keys(keys, book);
                             refill(codes_next, padded * out_w);
-                            avg_pool_batch(
-                                g, book, keys, window, codes, codes_next, padded, verified,
-                            );
+                            for r in 0..padded {
+                                avg_pool_codes(
+                                    g,
+                                    book,
+                                    keys,
+                                    window,
+                                    &codes[r * in_vol..(r + 1) * in_vol],
+                                    &mut codes_next[r * out_w..(r + 1) * out_w],
+                                );
+                            }
                             std::mem::swap(codes, codes_next);
                             cur_book = Some(*codebook);
                         }
@@ -702,17 +706,7 @@ impl BatchRunner {
                     }
                     let buf = &mut skips[skip_depth];
                     buf.clear();
-                    // Same clamp specialization as the gather kernels:
-                    // identity on verified models, defensive otherwise.
-                    let src = &codes[..padded * width];
-                    let last = book.len().saturating_sub(1);
-                    if verified {
-                        buf.extend(src.iter().map(|&c| book[c as usize]));
-                    } else if book.len().is_power_of_two() {
-                        buf.extend(src.iter().map(|&c| book[c as usize & last]));
-                    } else {
-                        buf.extend(src.iter().map(|&c| book[(c as usize).min(last)]));
-                    }
+                    buf.extend(codes[..padded * width].iter().map(|&c| book[c as usize]));
                     skip_depth += 1;
                 }
                 Op::ResidualEnd { encoder } => {
@@ -797,8 +791,8 @@ struct Plan {
     max_tile_q: usize,
 }
 
-/// Walks the op program like `validate` does, collecting the scratch
-/// arena's high-water marks.
+/// Walks the op program's flow widths, collecting the scratch arena's
+/// high-water marks.
 ///
 /// Quantized models reserve less: an analyzer-licensed dense op runs
 /// entirely on tiles materialized at load time, so it contributes no
@@ -896,6 +890,10 @@ fn plan(model: &CompiledModel) -> Plan {
 /// transposed into the interleaved `tile` (feature-major, lane-minor),
 /// so the hot loop reads one contiguous `LANES`-code group per weight —
 /// `chunks_exact` makes the lane indices provably in-bounds.
+///
+/// Gathers index table rows with the raw input codes: the analyzer
+/// proved every code below the row length when the model was built, and
+/// the indexing stays bounds-checked regardless.
 #[allow(clippy::too_many_arguments)]
 fn dense_block(
     pool_f: &[f32],
@@ -907,50 +905,12 @@ fn dense_block(
     nin: usize,
     nout: usize,
     tile: &mut Vec<u16>,
-    verified: bool,
 ) {
-    // Unreachable on a validated model (empty product tables are
-    // rejected); guarantees `last` below cannot wrap, which lets the
-    // optimiser drop the bounds check on the clamped gather.
-    if table.input_count == 0 {
-        return;
-    }
-    let last = table.input_count - 1;
     interleave(xblock, nin, tile);
-    // Valid codes never exceed `last`, so clamping with `min` and
-    // masking are both identities on real data; for power-of-two
-    // tables the mask variant saves a compare per gather. A statically
-    // verified model has *proven* every code in bounds, so it skips the
-    // clamp entirely — same indices, one less op per gather.
-    if verified {
-        dense_block_gather(pool_f, table, wcodes, bias, dst, nout, tile, |x| x);
-    } else if table.input_count.is_power_of_two() {
-        dense_block_gather(pool_f, table, wcodes, bias, dst, nout, tile, |x| x & last);
-    } else {
-        dense_block_gather(pool_f, table, wcodes, bias, dst, nout, tile, |x| {
-            x.min(last)
-        });
-    }
-}
-
-/// Gather loop of [`dense_block`] over the already-interleaved `tile`,
-/// generic over the in-bounds clamp.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn dense_block_gather(
-    pool_f: &[f32],
-    table: &TableRef,
-    wcodes: &[u16],
-    bias: &[f32],
-    dst: &mut [f32],
-    nout: usize,
-    tile: &[u16],
-    clamp: impl Fn(usize) -> usize,
-) {
     let nin = tile.len() / LANES;
     // Output neurons go in groups of OBLOCK sharing one pass over the
-    // block's codes: each lane's load and clamp feeds OBLOCK
-    // accumulator blocks, dividing the per-product bookkeeping. Each
+    // block's codes: each lane's load feeds OBLOCK accumulator blocks,
+    // dividing the per-product bookkeeping. Each
     // accumulator still sums its weights in ascending order, so
     // per-output results are unchanged.
     let mut o = 0usize;
@@ -975,7 +935,7 @@ fn dense_block_gather(
                 | u64::from(xs[7]) << 48;
             for l in 0..LANES {
                 let word = if l < 4 { lo } else { hi };
-                let x = clamp((word >> (16 * (l & 3))) as u16 as usize);
+                let x = (word >> (16 * (l & 3))) as u16 as usize;
                 acc0[l] += ta[x];
                 acc1[l] += tb[x];
             }
@@ -992,7 +952,7 @@ fn dense_block_gather(
         for (xs, &w) in tile.chunks_exact(LANES).zip(wrow) {
             let trow = table.row(pool_f, w);
             for (l, a) in acc.iter_mut().enumerate() {
-                *a += trow[clamp(xs[l] as usize)];
+                *a += trow[xs[l] as usize];
             }
         }
         for (l, &a) in acc.iter().enumerate() {
@@ -1076,7 +1036,7 @@ fn interleave_decode(xblock: &[u16], width: usize, book: &[f32], tile_f: &mut Ve
     }
 }
 
-/// Multiply-accumulate form of [`dense_block_gather`] for factored
+/// Multiply-accumulate form of [`dense_block`] for factored
 /// tables: `acc += w · x` on the decoded weight matrix and tile. Every
 /// product is bitwise equal to the table entry the gather would have
 /// loaded ([`factor_table`] verified all of them) and each accumulator
@@ -1365,54 +1325,27 @@ fn conv_block(
     in_vol: usize,
     nout: usize,
     tile: &mut Vec<u16>,
-    verified: bool,
 ) {
     interleave(xblock, in_vol, tile);
     let patch_len = g.patch_len();
     for oc in 0..out_channels {
-        let table = &tables[oc];
-        // See dense_block: the guard proves the clamp stays in bounds.
-        if table.input_count == 0 {
-            continue;
-        }
-        let last = table.input_count - 1;
         let wrow = &wcodes[oc * patch_len..(oc + 1) * patch_len];
-        // Per-channel clamp choice (each channel's table has its own
-        // `last`); see dense_block for the verified-identity rationale.
-        if verified {
-            conv_channel_block(
-                pool_f,
-                g,
-                table,
-                wrow,
-                bias[oc],
-                zero_code,
-                tile,
-                dst,
-                nout,
-                oc,
-                |x| x,
-            );
-        } else {
-            conv_channel_block(
-                pool_f,
-                g,
-                table,
-                wrow,
-                bias[oc],
-                zero_code,
-                tile,
-                dst,
-                nout,
-                oc,
-                |x| x.min(last),
-            );
-        }
+        conv_channel_block(
+            pool_f,
+            g,
+            &tables[oc],
+            wrow,
+            bias[oc],
+            zero_code,
+            tile,
+            dst,
+            nout,
+            oc,
+        );
     }
 }
 
-/// Tap loop of [`conv_block`] for one output channel, generic over the
-/// in-bounds clamp.
+/// Tap loop of [`conv_block`] for one output channel.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn conv_channel_block(
@@ -1426,14 +1359,11 @@ fn conv_channel_block(
     dst: &mut [f32],
     nout: usize,
     oc: usize,
-    clamp: impl Fn(usize) -> usize,
 ) {
     let pixels = g.out_pixels();
     let (c, h, w) = (g.in_channels, g.in_height, g.in_width);
-    // The padding code is constant for the whole channel, so its clamp
-    // is hoisted out of the tap loops; each padding tap is then a
-    // single indexed load off its table row.
-    let zero_i = clamp(zero_code as usize);
+    // Each padding tap is a single indexed load off its table row.
+    let zero_i = zero_code as usize;
     for oy in 0..g.out_height {
         for ox in 0..g.out_width {
             let mut acc = [bias; LANES];
@@ -1451,8 +1381,7 @@ fn conv_channel_block(
                                 .try_into()
                                 .expect("lane group");
                             for (l, a) in acc.iter_mut().enumerate() {
-                                let x = xs[l] as usize;
-                                *a += trow[clamp(x)];
+                                *a += trow[xs[l] as usize];
                             }
                         } else {
                             let pad_v = trow[zero_i];
@@ -1603,90 +1532,25 @@ fn pool_into<T: Copy>(g: &Geom, src: &[T], dst: &mut [T], combine: impl Fn(T, T)
     }
 }
 
-/// Batched [`avg_pool_codes`] with the clamp chosen once per op —
-/// identity for statically verified models, mask for power-of-two
-/// codebooks, `min` otherwise — mirroring the dense path's
-/// verified-identity specialization (the clamp is an identity on all
-/// real data, so every variant is bit-identical).
-#[allow(clippy::too_many_arguments)]
-fn avg_pool_batch(
-    g: &Geom,
-    book: &[f32],
-    keys: &[i32],
-    window: f32,
-    codes: &[u16],
-    codes_next: &mut [u16],
-    padded: usize,
-    verified: bool,
-) {
-    #[allow(clippy::too_many_arguments)]
-    fn go(
-        g: &Geom,
-        book: &[f32],
-        keys: &[i32],
-        window: f32,
-        codes: &[u16],
-        codes_next: &mut [u16],
-        padded: usize,
-        clamp: impl Fn(usize) -> usize + Copy,
-    ) {
-        let in_vol = g.in_volume();
-        let out_w = g.in_channels * g.out_pixels();
-        for r in 0..padded {
-            avg_pool_codes(
-                g,
-                book,
-                keys,
-                window,
-                &codes[r * in_vol..(r + 1) * in_vol],
-                &mut codes_next[r * out_w..(r + 1) * out_w],
-                clamp,
-            );
-        }
-    }
-    let last = book.len().saturating_sub(1);
-    if verified {
-        go(g, book, keys, window, codes, codes_next, padded, |x| x);
-    } else if book.len().is_power_of_two() {
-        go(g, book, keys, window, codes, codes_next, padded, |x| {
-            x & last
-        });
-    } else {
-        go(g, book, keys, window, codes, codes_next, padded, |x| {
-            x.min(last)
-        });
-    }
-}
-
 /// Fused decode + average-pool + re-encode of one encoded sample:
 /// gathers codebook values straight out of the window (identical sum
 /// order to decoding the whole sample first), divides by the window
 /// size, and encodes each pooled value back through the codebook.
-/// Generic over the in-bounds clamp like [`dense_block_gather`].
-fn avg_pool_codes(
-    g: &Geom,
-    book: &[f32],
-    keys: &[i32],
-    window: f32,
-    src: &[u16],
-    dst: &mut [u16],
-    clamp: impl Fn(usize) -> usize,
-) {
+fn avg_pool_codes(g: &Geom, book: &[f32], keys: &[i32], window: f32, src: &[u16], dst: &mut [u16]) {
     let (c, h, w) = (g.in_channels, g.in_height, g.in_width);
     let mut i = 0usize;
     for ch in 0..c {
         let base = ch * h * w;
         for oy in 0..g.out_height {
             for ox in 0..g.out_width {
-                let mut acc = book[clamp(src[base + oy * g.stride * w + ox * g.stride] as usize)];
+                let mut acc = book[src[base + oy * g.stride * w + ox * g.stride] as usize];
                 for kh in 0..g.kernel_h {
                     for kw in 0..g.kernel_w {
                         if kh == 0 && kw == 0 {
                             continue;
                         }
-                        acc += book[clamp(
-                            src[base + (oy * g.stride + kh) * w + ox * g.stride + kw] as usize,
-                        )];
+                        acc += book
+                            [src[base + (oy * g.stride + kh) * w + ox * g.stride + kw] as usize];
                     }
                 }
                 dst[i] = nearest_sorted(book, keys, acc / window);

@@ -8,8 +8,11 @@
 //!
 //! * [`artifact`] — [`CompiledModel`] flattens the reinterpreted network
 //!   into two contiguous pools plus a linear op program, serializable to
-//!   a versioned, checksummed, std-only binary format. Inference over
-//!   the flat program is bit-for-bit identical to the source network.
+//!   one versioned, checksummed, std-only binary format (v2). Every
+//!   constructor ends in the `rapidnn-analyze` static verifier, so a
+//!   model exists only once the analyzer has accepted it. Inference
+//!   over the flat program is bit-for-bit identical to the source
+//!   network.
 //! * [`kernels`] — [`BatchRunner`] executes the op program batch-major
 //!   over a reusable scratch arena: each op runs once per batch across
 //!   all rows, with zero per-sample heap allocations in the steady
@@ -19,11 +22,10 @@
 //!   ([`ServeError::QueueFull`]) and draining shutdown. Each worker owns
 //!   a persistent [`BatchRunner`] and executes its gathered batch in one
 //!   kernel call.
-//! * [`lint`] — [`lint_bytes`] runs the `rapidnn-analyze` static
-//!   verifier over raw artifact bytes and returns its diagnostic
-//!   report; [`CompiledModel::from_bytes_strict`] makes a clean report
-//!   a load-time requirement, and verified models let the kernels drop
-//!   their defensive per-gather index clamps.
+//! * [`lint`] — [`lint_bytes`] runs the same analyzer over raw
+//!   artifact bytes and returns its full diagnostic report; the report
+//!   is clean exactly when [`CompiledModel::from_bytes_strict`], the one
+//!   byte loader, accepts the bytes.
 //! * [`pipeline`] — stage planning for sharded serving:
 //!   [`EngineConfig::stages`] splits the op program into balanced
 //!   contiguous ranges (cost-weighted by the analyzer's per-op
@@ -52,7 +54,7 @@
 //! // Compile, round-trip through bytes, and serve.
 //! let model = CompiledModel::from_reinterpreted(&outcome.reinterpreted)?;
 //! let bytes = model.to_bytes();
-//! let model = CompiledModel::from_bytes(&bytes)?;
+//! let model = CompiledModel::from_bytes_strict(&bytes)?;
 //! let engine = Engine::start(model, EngineConfig::default());
 //! let ticket = engine.try_submit(val.sample(0).into_vec())?;
 //! assert_eq!(ticket.wait()?.len(), 2);

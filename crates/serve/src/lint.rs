@@ -1,11 +1,14 @@
 //! Artifact linting: run the static analyzer over raw artifact bytes.
 //!
-//! [`lint_bytes`] is the diagnostic front door: unlike
-//! [`CompiledModel::from_bytes_strict`] it never returns an error —
-//! byte-level corruption is folded into the report as an `RNA0001`
-//! (decode-failed) diagnostic, so callers always get one uniform
-//! [`Report`] to render. The `lint_artifact` example wraps this in a
-//! CLI that exits nonzero when the report has errors.
+//! [`lint_bytes`] is the diagnostic front door to the same gate the
+//! loader uses: [`CompiledModel::from_bytes_strict`] decodes and then
+//! refuses any model the analyzer reports errors for, while
+//! `lint_bytes` runs the identical decode and analysis but never
+//! returns an error — byte-level corruption is folded into the report
+//! as an `RNA0001` (decode-failed) diagnostic, so callers always get
+//! one uniform [`Report`] to render, warnings and notes included. The
+//! `lint_artifact` example wraps this in a CLI that exits nonzero when
+//! the report has errors.
 
 use crate::artifact::CompiledModel;
 use crate::error::ArtifactError;
@@ -15,8 +18,9 @@ use rapidnn_analyze::{DiagCode, Diagnostic, Report};
 /// into the report instead of returning them as `Err`.
 ///
 /// The report has no errors **iff** [`CompiledModel::from_bytes_strict`]
-/// would accept the same bytes; on top of the accept/reject verdict it
-/// carries every warning and note the analyzer produced. Packed-layout
+/// accepts the same bytes — both run the one decoder and the one
+/// analyzer; on top of the accept/reject verdict it carries every
+/// warning and note the analyzer produced. Packed-layout
 /// framing failures (format v2 section directories) get their own
 /// `RNA0012` code; every other byte-level failure folds into `RNA0001`.
 pub fn lint_bytes(bytes: &[u8]) -> Report {
@@ -45,9 +49,9 @@ mod tests {
     use rapidnn_analyze::Severity;
 
     fn padded_pool_model() -> CompiledModel {
-        // The PR-1 panic class: a pool geometry that declares padding.
-        // Pool kernels index without padding, so before the validation
-        // fix `infer` panicked out of bounds inside `pool`.
+        // A historical panic class: a pool geometry that declares
+        // padding. Pool kernels index without padding, so before the
+        // pad check `infer` panicked out of bounds inside `pool`.
         CompiledModel {
             input_features: 4,
             output_features: 9,
@@ -65,7 +69,6 @@ mod tests {
             })],
             floats: FloatPool::Owned(vec![0.0, 1.0]),
             codes: CodePool::Wide(vec![]),
-            verified: false,
             quant: None,
         }
     }
@@ -83,8 +86,8 @@ mod tests {
 
     #[test]
     fn oversized_codebook_is_a_typed_error() {
-        // The other PR-1 panic class: a codebook past the u16 index
-        // range, whose top entries `nearest` would silently wrap.
+        // The other historical panic class: a codebook past the u16
+        // index range, whose top entries `nearest` would silently wrap.
         let len = (1 << 16) + 1;
         let model = CompiledModel {
             input_features: 1,
@@ -93,7 +96,6 @@ mod tests {
             ops: vec![],
             floats: FloatPool::Owned(vec![0.0; len]),
             codes: CodePool::Wide(vec![]),
-            verified: false,
             quant: None,
         };
         let report = lint_bytes(&model.to_bytes());

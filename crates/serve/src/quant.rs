@@ -98,8 +98,7 @@ pub(crate) enum QuantFinish {
 impl QuantState {
     /// Builds the integer tiles for every licensed op of `plan`.
     ///
-    /// `model` must have passed [`CompiledModel::verify`] (the caller,
-    /// `CompiledModel::quantize`, guarantees it), so spans are in
+    /// The analyzer accepted `model` when it was built, so spans are in
     /// bounds; weight codes are still clamped defensively — this runs
     /// once at load time, never in the batch loop.
     pub(crate) fn materialize(model: &CompiledModel, plan: QuantPlan) -> QuantState {

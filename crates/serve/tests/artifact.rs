@@ -2,15 +2,17 @@
 //!
 //! The load-time contract under test: any byte buffer — truncated,
 //! bit-flipped, or adversarially structured with a valid checksum — either
-//! decodes to a model whose `infer` matches the source network bit for
-//! bit, or fails with a typed [`ArtifactError`]. It never panics.
+//! loads (strictly: decode plus analysis) to a model whose `infer`
+//! matches the source network bit for bit, or fails with a typed error:
+//! an [`ArtifactError`] for bad bytes, a rejection report for a model
+//! the analyzer refuses. It never panics.
 
 mod common;
 
 use common::{cnn_model, mlp_model, residual_model};
 use rapidnn_core::ReinterpretedNetwork;
 use rapidnn_prop::{check, usize_in, vec_f32};
-use rapidnn_serve::{ArtifactError, CompiledModel, FORMAT_VERSION, MAGIC};
+use rapidnn_serve::{ArtifactError, CompiledModel, ServeError, FORMAT_VERSION, MAGIC};
 use rapidnn_tensor::SeededRng;
 
 fn assert_bit_identical(
@@ -75,7 +77,7 @@ fn round_trip_preserves_every_topology() {
         residual_model(&mut rng),
     ] {
         let compiled = CompiledModel::from_reinterpreted(&model).unwrap();
-        let restored = CompiledModel::from_bytes(&compiled.to_bytes()).unwrap();
+        let restored = CompiledModel::from_bytes_strict(&compiled.to_bytes()).unwrap();
         assert_eq!(restored, compiled);
         assert_bit_identical(&model, &restored, &mut rng);
     }
@@ -88,7 +90,7 @@ fn save_and_load_round_trip_through_disk() {
     let compiled = CompiledModel::from_reinterpreted(&model).unwrap();
     let path = std::env::temp_dir().join(format!("rapidnn-artifact-{}.rnna", std::process::id()));
     compiled.save(&path).unwrap();
-    let restored = CompiledModel::load(&path).unwrap();
+    let restored = CompiledModel::load_strict(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(restored, compiled);
 }
@@ -101,13 +103,13 @@ fn every_truncation_is_a_typed_error() {
         .to_bytes();
     // Every strict prefix must fail without panicking.
     for len in 0..bytes.len() {
-        match CompiledModel::from_bytes(&bytes[..len]) {
-            Err(
+        match CompiledModel::from_bytes_strict(&bytes[..len]) {
+            Err(ServeError::Artifact(
                 ArtifactError::Truncated { .. }
                 | ArtifactError::BadMagic
                 | ArtifactError::ChecksumMismatch { .. }
                 | ArtifactError::Malformed(_),
-            ) => {}
+            )) => {}
             Err(other) => panic!("unexpected error at prefix {len}: {other}"),
             Ok(_) => panic!("prefix {len} of {} decoded successfully", bytes.len()),
         }
@@ -127,15 +129,15 @@ fn bit_flips_are_always_detected() {
         corrupt[pos] ^= 1 << bit;
         // Any single-bit flip hits the magic, version, length, payload
         // (checksummed) or the checksum itself — all typed failures.
-        assert!(CompiledModel::from_bytes(&corrupt).is_err());
+        assert!(CompiledModel::from_bytes_strict(&corrupt).is_err());
     });
 }
 
 #[test]
 fn adversarial_payloads_with_valid_checksums_never_panic() {
     // Random garbage framed as a well-formed artifact (correct magic,
-    // version, length and checksum) must be rejected by structural
-    // validation, not by a panic.
+    // version, length and checksum) must be rejected by the decoder or
+    // the analyzer, not by a panic.
     check(128, |rng| {
         let payload_len = usize_in(rng, 0, 256);
         let payload: Vec<u8> = (0..payload_len)
@@ -147,26 +149,35 @@ fn adversarial_payloads_with_valid_checksums_never_panic() {
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&payload);
         bytes.extend_from_slice(&fnv(&payload).to_le_bytes());
-        assert!(CompiledModel::from_bytes(&bytes).is_err());
+        assert!(CompiledModel::from_bytes_strict(&bytes).is_err());
     });
 }
 
 #[test]
 fn bad_magic_and_future_version_are_typed() {
     assert!(matches!(
-        CompiledModel::from_bytes(b"LAYRxxxxxxxxxxxxxxxxxxxx"),
-        Err(ArtifactError::BadMagic)
+        CompiledModel::from_bytes_strict(b"LAYRxxxxxxxxxxxxxxxxxxxx"),
+        Err(ServeError::Artifact(ArtifactError::BadMagic))
     ));
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    bytes.extend_from_slice(&0u64.to_le_bytes());
-    bytes.extend_from_slice(&fnv(&[]).to_le_bytes());
-    assert!(matches!(
-        CompiledModel::from_bytes(&bytes),
-        Err(ArtifactError::UnsupportedVersion { found, supported })
-            if found == FORMAT_VERSION + 1 && supported == FORMAT_VERSION
-    ));
+    let mut future = Vec::new();
+    future.extend_from_slice(&MAGIC);
+    future.extend_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
+    future.extend_from_slice(&0u64.to_le_bytes());
+    future.extend_from_slice(&fnv(&[]).to_le_bytes());
+    // The retired v1: a real v2 artifact relabelled 1. The checksum
+    // covers only the payload, so the relabelled bytes stay well framed.
+    let mut rng = SeededRng::new(108);
+    let mut v1 = CompiledModel::from_reinterpreted(&mlp_model(&mut rng))
+        .unwrap()
+        .to_bytes();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    for (bytes, version) in [(future, FORMAT_VERSION + 1), (v1, 1)] {
+        assert!(matches!(
+            CompiledModel::from_bytes_strict(&bytes),
+            Err(ServeError::Artifact(ArtifactError::UnsupportedVersion { found, supported }))
+                if found == version && supported == FORMAT_VERSION
+        ));
+    }
 }
 
 /// Local FNV-1a 64 copy so tests can frame adversarial payloads.

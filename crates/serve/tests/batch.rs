@@ -160,7 +160,7 @@ fn save_load_serve_round_trip_through_disk() {
     let compiled = CompiledModel::from_reinterpreted(&mlp_model(&mut rng)).unwrap();
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("batch-round-trip.rnna");
     compiled.save(&path).unwrap();
-    let restored = CompiledModel::load(&path).unwrap();
+    let restored = CompiledModel::load_strict(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(restored, compiled);
 

@@ -1,11 +1,11 @@
 //! Certified-optimizer property gate: `CompiledModel::optimize` must
 //! be a *footprint* change only. For every op-program topology the
-//! compiler emits (dense, conv + pools, residual), across artifact
-//! format round-trips (v1, v2), kernel paths (f32, analyzer-licensed
+//! compiler emits (dense, conv + pools, residual), across code layouts
+//! (in-memory wide, v2 bit-packed round-trip), kernel paths (f32, analyzer-licensed
 //! int16), and engine stage counts, the optimized model answers every
 //! request bit-for-bit identically to its unoptimized source — while a
-//! model with injected dead rows provably shrinks and an invalid model
-//! is refused with a typed report, never silently rewritten.
+//! model with injected dead rows provably shrinks and an invalid
+//! program is refused with a typed report, never silently rewritten.
 
 mod common;
 
@@ -39,23 +39,26 @@ fn optimized_pairs() -> Vec<(&'static str, CompiledModel, CompiledModel)> {
 }
 
 /// The bit-identity gate: optimized artifacts reproduce their source
-/// bit for bit across v1/v2 round-trips, f32/int16 kernel paths, and
-/// per-sample vs batch entry points.
+/// bit for bit in memory and across v2 round-trips, on f32/int16
+/// kernel paths, and through per-sample vs batch entry points.
 #[test]
 fn optimized_models_infer_bit_identically() {
     let pairs = optimized_pairs();
-    // (label suffix, v1 round-trip?, quantized?)
+    // (label suffix, v2 round-trip?, quantized?)
     let variants = [
-        ("v1/f32", true, false),
-        ("v2/f32", false, false),
-        ("v2/int16", false, true),
+        ("wide/f32", false, false),
+        ("v2/f32", true, false),
+        ("v2/int16", true, true),
     ];
     check(8, |rng| {
         for (name, base, opt) in &pairs {
-            for (suffix, v1, quantized) in variants {
+            for (suffix, v2, quantized) in variants {
                 let realize = |m: &CompiledModel| {
-                    let bytes = if v1 { m.to_bytes_v1() } else { m.to_bytes() };
-                    let mut m = CompiledModel::from_bytes_strict(&bytes).unwrap();
+                    let mut m = if v2 {
+                        CompiledModel::from_bytes_strict(&m.to_bytes()).unwrap()
+                    } else {
+                        m.clone()
+                    };
                     if quantized {
                         m.quantize().unwrap();
                     }
@@ -168,8 +171,9 @@ fn injected_dead_rows_provably_shrink_v2() {
     }
 }
 
-/// An invalid model is refused with the typed report — optimize never
-/// rewrites a program the analyzer rejects.
+/// An invalid program is refused with the typed report — it never
+/// becomes a `CompiledModel`, so there is nothing to optimize, and the
+/// optimizer itself refuses to rewrite it.
 #[test]
 fn invalid_model_is_rejected_not_rewritten() {
     let mut rng = SeededRng::new(99);
@@ -182,9 +186,9 @@ fn invalid_model_is_rejected_not_rewritten() {
         _ => unreachable!("mlp starts with a dense op"),
     };
     program.floats.to_mut()[offset] = f32::NAN;
-    let model = CompiledModel::from_program(&program).unwrap();
-    match model.optimize() {
+    match CompiledModel::from_program(&program) {
         Err(ServeError::Rejected(report)) => assert!(report.has_errors(), "{report}"),
         other => panic!("expected a typed rejection, got {other:?}"),
     }
+    assert!(rapidnn_analyze::optimize(&program).is_err());
 }

@@ -12,15 +12,17 @@
 //!   — preview the integer-lowering plan: which table ops the analyzer
 //!   licenses for the i16/i32 kernel path and why the rest fall back.
 //!   Exit codes are stable for CI gating: `0` every table op licensed,
-//!   `1` the artifact cannot be loaded or analyzed, `2` a mix of
-//!   licensed and fallback ops, `3` nothing licensed.
+//!   `1` the artifact cannot be loaded (corrupt bytes, another format
+//!   version, or analyzer refusal — the report is printed), `2` a mix
+//!   of licensed and fallback ops, `3` nothing licensed.
 //! * `cargo run --release --example lint_artifact -- optimize in.rnna out.rnna`
 //!   — run the certified optimizer: analyzer-licensed dead-data
 //!   elimination with the rewrite translation-validated before
 //!   anything is written. Exit codes are stable for CI gating: `0`
 //!   certified success (the optimized artifact was written, shrunken
-//!   or not), `1` the input cannot be loaded or fails analysis, `2`
-//!   the rewrite certificate failed validation (nothing is written).
+//!   or not), `1` the input cannot be loaded (as for `quant`, analyzer
+//!   refusal included), `2` the rewrite certificate failed validation
+//!   (nothing is written).
 //! * `cargo run --release --example lint_artifact` (or `-- --demo`) —
 //!   self-contained demo: compiles a clean artifact from a tiny
 //!   pipeline, lints it, then corrupts a header field (repairing the
@@ -28,7 +30,7 @@
 //!   decoder) and lints the broken artifact.
 
 use rapidnn::analyze::OpQuant;
-use rapidnn::serve::{lint_bytes, CompiledModel};
+use rapidnn::serve::{lint_bytes, CompiledModel, ServeError};
 use rapidnn::tensor::SeededRng;
 use rapidnn::{Pipeline, PipelineConfig};
 use std::process::ExitCode;
@@ -116,27 +118,44 @@ fn export_file(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Reads `path` and loads it through the one strict loader. On any
+/// failure — unreadable file, corrupt bytes, another format version,
+/// analyzer refusal (its report is printed) — says why and yields the
+/// exit code `1`.
+fn load(path: &str) -> Result<(Vec<u8>, CompiledModel), ExitCode> {
+    let bytes = std::fs::read(path).map_err(|e| {
+        eprintln!("error: cannot read {path}: {e}");
+        ExitCode::FAILURE
+    })?;
+    match CompiledModel::from_bytes_strict(&bytes) {
+        Ok(model) => Ok((bytes, model)),
+        Err(ServeError::Rejected(report)) => {
+            eprintln!("{report}");
+            eprintln!("error: {path} fails analysis");
+            Err(ExitCode::FAILURE)
+        }
+        Err(e) => {
+            eprintln!("error: cannot load {path}: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
+}
+
 /// Previews the integer-lowering plan for one artifact file. The exit
 /// code is stable for CI gating: `0` every table op licensed, `1`
 /// load/analyze error, `2` mixed, `3` nothing licensed.
 fn quant_file(path: &str) -> ExitCode {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
+    let mut model = match load(path) {
+        Ok((_, model)) => model,
+        Err(code) => return code,
+    };
+    let plan = match model.quantize() {
+        Ok(plan) => plan,
         Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
+            eprintln!("error: cannot quantize {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // Non-strict decode: the preview explains artifacts the verifier
-    // would refuse to serve, so decoding is the only hard gate.
-    let model = match CompiledModel::from_bytes(&bytes) {
-        Ok(model) => model,
-        Err(e) => {
-            eprintln!("error: cannot decode {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let plan = model.quant_plan_preview();
     for (i, op) in plan.ops.iter().enumerate() {
         match op {
             OpQuant::NotApplicable => println!("op {i}: no tables (either path)"),
@@ -166,23 +185,13 @@ fn quant_file(path: &str) -> ExitCode {
 fn optimize_file(input: &str, output: &str) -> ExitCode {
     use rapidnn::analyze::{DiagCode, Pass};
 
-    let bytes = match std::fs::read(input) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            eprintln!("error: cannot read {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let model = match CompiledModel::from_bytes(&bytes) {
-        Ok(model) => model,
-        Err(e) => {
-            eprintln!("error: cannot decode {input}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (bytes, model) = match load(input) {
+        Ok(loaded) => loaded,
+        Err(code) => return code,
     };
     let (optimized, cert) = match model.optimize() {
         Ok(pair) => pair,
-        Err(rapidnn::serve::ServeError::Rejected(report)) => {
+        Err(ServeError::Rejected(report)) => {
             eprintln!("{report}");
             let cert_failure = [
                 DiagCode::CertificateInvalid,
@@ -195,7 +204,7 @@ fn optimize_file(input: &str, output: &str) -> ExitCode {
                 eprintln!("error: rewrite certificate failed validation, nothing written");
                 ExitCode::from(2)
             } else {
-                eprintln!("error: {input} fails analysis, nothing written");
+                eprintln!("error: optimized program fails analysis, nothing written");
                 ExitCode::FAILURE
             };
         }

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = std::env::temp_dir().join(format!("rapidnn-demo-{}.rnna", std::process::id()));
     compiled.save(&path)?;
     let artifact_bytes = std::fs::metadata(&path)?.len();
-    let served_model = CompiledModel::load(&path)?;
+    let served_model = CompiledModel::load_strict(&path)?;
     std::fs::remove_file(&path).ok();
     assert_eq!(served_model, compiled);
     println!("artifact is {artifact_bytes} bytes on disk; reload verified identical");
