@@ -434,8 +434,12 @@ impl Registry {
     }
 
     /// Runs synthetic inferences through a fresh engine. Exercises the
-    /// full submit → batch → kernel → reply path per worker-visible
-    /// code, growing scratch arenas before real traffic arrives.
+    /// full submit → batch → kernel → reply path before real traffic
+    /// arrives: it grows the workers' scratch arenas and makes the
+    /// model decode its f32 weight codes, once per model, off the
+    /// request path. With the default work-conserving engine each
+    /// sample is answered as soon as a worker is free, so warmup adds
+    /// no batch-window wait to a swap.
     fn warm(&self, engine: &Engine) -> Result<(), GatewayError> {
         let features = engine.model().input_features();
         for i in 0..self.config.warmup_samples {

@@ -45,7 +45,7 @@
 //! interpreter.
 
 use crate::error::{ArtifactError, Result, ServeError};
-use crate::kernels::BatchRunner;
+use crate::kernels::{BatchRunner, WeightTiles};
 use crate::pod::{self, AlignedBytes};
 use rapidnn_core::{ActivationTable, ReinterpretedNetwork, Stage, StageKind};
 use rapidnn_nn::Activation;
@@ -328,8 +328,9 @@ fn packed_byte_len(len: usize, width: u32) -> usize {
 /// The model's code pool: every encoded weight.
 ///
 /// `Wide` is the materialized `u16` pool of in-memory models; `Packed`
-/// keeps the bit-packed sections of a v2 artifact in place and decodes
-/// spans on demand through a bounded bit cursor
+/// keeps the bit-packed sections of a v2 artifact in place — the
+/// analyzer, serialization and the int16 materializer read them there —
+/// while the f32 kernels read each op's span unpacked once per model
 /// ([`CompiledModel::codes_for`]).
 #[derive(Debug, Clone)]
 pub(crate) enum CodePool {
@@ -395,7 +396,7 @@ impl CodePool {
     }
 
     /// Materializes the whole pool (serialization, analysis, equality —
-    /// never the inference hot path, which decodes per-op tiles).
+    /// never the inference hot path, which reads per-op tiles).
     pub(crate) fn to_wide(&self) -> Vec<u16> {
         match self {
             CodePool::Wide(v) => v.clone(),
@@ -488,6 +489,9 @@ pub struct CompiledModel {
     /// [`CompiledModel::quantize`] for analyzer-licensed ops. Never
     /// serialized — a loaded artifact opts in again.
     pub(crate) quant: Option<crate::quant::QuantState>,
+    /// The f32 kernels' weight state, decoded once per model on first
+    /// use. Never serialized.
+    pub(crate) tiles: WeightTiles,
 }
 
 impl CompiledModel {
@@ -514,18 +518,21 @@ impl CompiledModel {
             floats: FloatPool::Owned(fl.floats),
             codes: CodePool::Wide(fl.codes),
             quant: None,
+            tiles: WeightTiles::default(),
         };
         model.accepted()
     }
 
     /// The one gate every public constructor ends in: runs the static
     /// analyzer and hands the model back only when the report has no
-    /// errors.
-    fn accepted(self) -> Result<Self> {
+    /// errors, with one weight-tile cell per op for its f32 kernels to
+    /// fill on first use.
+    fn accepted(mut self) -> Result<Self> {
         let report = self.analyze();
         if report.has_errors() {
             return Err(ServeError::Rejected(Box::new(report)));
         }
+        self.tiles = WeightTiles::new(self.ops.len());
         Ok(self)
     }
 
@@ -541,19 +548,30 @@ impl CompiledModel {
         self.floats.as_slice()
     }
 
-    /// The codes of `span`, borrowing the wide pool directly or bit-
-    /// decoding the packed sections into `scratch` (cleared first). The
-    /// span must be in bounds — the analyzer establishes that before any
+    /// The weight codes `span` of op `oi`: borrowed from the wide pool
+    /// directly, or, when the pool is bit-packed, from the op's tile,
+    /// unpacked on the first call and kept ([`WeightTiles`]). The span
+    /// must be in bounds — the analyzer establishes that before any
     /// caller reads through this.
-    pub(crate) fn codes_for<'a>(&'a self, span: Span, scratch: &'a mut Vec<u16>) -> &'a [u16] {
+    pub(crate) fn codes_for(&self, oi: usize, span: Span) -> &[u16] {
         match &self.codes {
             CodePool::Wide(v) => span.slice(v),
-            packed => {
-                scratch.clear();
-                packed.decode_range_into(span.start, span.len, scratch);
-                scratch
-            }
+            packed => self.tiles.codes(oi, || {
+                let mut codes = Vec::with_capacity(span.len);
+                packed.decode_range_into(span.start, span.len, &mut codes);
+                codes
+            }),
         }
+    }
+
+    /// Heap bytes of the weight tiles this model's f32 kernels have
+    /// decoded so far — wide codes unpacked from bit-packed sections
+    /// and factored dense weight matrices, each built once, by the
+    /// first batch that needs it. Ops licensed by [`Self::quantize`]
+    /// never build any, so a fully licensed model reports 0 whatever
+    /// its code-section size.
+    pub fn weight_tile_bytes(&self) -> usize {
+        self.tiles.bytes()
     }
 
     /// A deliberately inconsistent model (built without the analyzer) whose
@@ -579,6 +597,7 @@ impl CompiledModel {
             floats: FloatPool::Owned(vec![0.0, 1.0]),
             codes: CodePool::Wide(vec![]),
             quant: None,
+            tiles: WeightTiles::default(),
         }
     }
 
@@ -621,6 +640,7 @@ impl CompiledModel {
             floats: FloatPool::Owned(floats),
             codes: CodePool::Wide(vec![0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0]),
             quant: None,
+            tiles: WeightTiles::default(),
         }
     }
 
@@ -1042,6 +1062,7 @@ impl CompiledModel {
             floats,
             codes,
             quant: None,
+            tiles: WeightTiles::default(),
         })
     }
 
@@ -1296,6 +1317,7 @@ impl CompiledModel {
             floats: FloatPool::Owned(program.floats.to_vec()),
             codes: CodePool::Wide(program.codes.to_vec()),
             quant: None,
+            tiles: WeightTiles::default(),
         };
         model.accepted()
     }
@@ -1361,10 +1383,11 @@ impl CompiledModel {
     /// `?`/`expect` sites stable.
     pub fn quantize(&mut self) -> Result<&rapidnn_analyze::QuantPlan> {
         let plan = rapidnn_analyze::quantize_plan(&self.to_program());
-        let state = self
-            .quant
-            .insert(crate::quant::QuantState::materialize(self, plan));
-        Ok(&state.plan)
+        let state = crate::quant::QuantState::materialize(self, plan);
+        // Licensed ops never read f32 weight tiles: drop any decoded so
+        // far, and let the ops left on f32 decode theirs again on use.
+        self.tiles = WeightTiles::new(self.ops.len());
+        Ok(&self.quant.insert(state).plan)
     }
 
     /// The quantization plan materialized by [`Self::quantize`], or
@@ -1947,6 +1970,7 @@ mod tests {
                 floats: FloatPool::Owned(vec![0.0, 1.0]),
                 codes: CodePool::Wide(vec![]),
                 quant: None,
+                tiles: WeightTiles::default(),
             };
             // Must be rejected at load time; without the pad check this
             // artifact loaded and `infer` panicked out of bounds inside
@@ -1969,6 +1993,7 @@ mod tests {
             floats: FloatPool::Owned(vec![0.0; len]),
             codes: CodePool::Wide(vec![]),
             quant: None,
+            tiles: WeightTiles::default(),
         };
         // One past the cap: `nearest` would wrap this book's top index to
         // code 0 through the u16 cast.
@@ -2079,6 +2104,7 @@ mod tests {
             floats: FloatPool::Owned(vec![0.0, 1.0, 2.0]),
             codes: CodePool::Wide(vec![]),
             quant: None,
+            tiles: WeightTiles::default(),
         };
         let bytes = model.to_bytes();
         let float_off = u64::from_le_bytes(

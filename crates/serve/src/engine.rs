@@ -1,19 +1,20 @@
 //! Batched, multi-threaded serving engine.
 //!
 //! [`Engine::start`] spins up a worker pool over a bounded request queue.
-//! Each worker gathers a dynamic batch — up to
-//! [`EngineConfig::max_batch_size`] requests, waiting at most
-//! [`EngineConfig::max_wait`] for stragglers — then executes the whole
-//! batch in one [`BatchRunner::run`] call outside the lock and answers
-//! each request through its own channel. The runner and its scratch
-//! arena persist across batches, so steady-state serving performs no
-//! per-sample heap allocation in the op loop.
+//! Batching is work-conserving: a worker that frees up takes whatever is
+//! queued — up to [`EngineConfig::max_batch_size`] rows — and executes
+//! it at once in one [`BatchRunner::run`] call outside the lock, then
+//! answers each request through its own channel. No request is held
+//! back to wait for company: a lone request runs alone, and under load
+//! the backlog that builds while one kernel call runs becomes the next
+//! batch, so batch size grows with the offered rate on its own. The
+//! runner and its scratch arena persist across batches, so steady-state
+//! serving performs no per-sample heap allocation in the op loop.
 //!
-//! The straggler wait is bounded both ways: a worker stops waiting the
-//! moment its batch fills or shutdown begins, and the deadline is
-//! measured from the first request popped — a partial batch is never
-//! held longer than [`EngineConfig::max_wait`], even when the queue has
-//! gone idle.
+//! A non-zero [`EngineConfig::max_wait`] opts into a straggler window:
+//! a worker then holds a partial batch until it fills, shutdown begins,
+//! or `max_wait` has passed since the first request was popped —
+//! never longer, even when the queue has gone idle.
 //!
 //! Backpressure is explicit: [`Engine::try_submit`] returns
 //! [`ServeError::QueueFull`] instead of buffering without bound, while
@@ -55,6 +56,9 @@ pub struct EngineConfig {
     /// still runs (alone, in one kernel call).
     pub max_batch_size: usize,
     /// Longest a worker holds a partial batch waiting for more work.
+    /// The default, [`Duration::ZERO`], is work-conserving: a worker
+    /// runs whatever is queued the moment it frees up. A non-zero value
+    /// trades that much added latency for fuller batches.
     pub max_wait: Duration,
     /// Pipeline stages to shard the op program into: `0` or `1` serves
     /// unsharded; `2+` splits the model into that many contiguous op
@@ -70,7 +74,7 @@ impl Default for EngineConfig {
             workers: 0,
             queue_capacity: 1024,
             max_batch_size: 32,
-            max_wait: Duration::from_millis(1),
+            max_wait: Duration::ZERO,
             stages: 0,
         }
     }
@@ -574,8 +578,10 @@ fn lock_state(shared: &Shared) -> std::sync::MutexGuard<'_, QueueState> {
 /// Gathers a dynamic batch from the request queue into `batch`,
 /// row-aware: jobs join until their summed rows would exceed
 /// `max_rows` (a single job bigger than `max_rows` still runs, alone).
-/// The straggler wait runs from the first pop and ends at the earliest
-/// of: batch full, shutdown, or `max_wait` elapsed — a partial batch is
+/// With a zero `max_wait` this takes what is queued and returns: one
+/// lock, no clock read, no timed wait. A non-zero `max_wait` keeps
+/// waiting for stragglers from the first pop until the earliest of:
+/// batch full, shutdown, or `max_wait` elapsed — a partial batch is
 /// never held past the deadline.
 ///
 /// Returns `false` only when the engine is shutting down and the queue
@@ -605,7 +611,7 @@ fn gather_batch(
             .wait(state)
             .unwrap_or_else(std::sync::PoisonError::into_inner);
     }
-    let deadline = Instant::now() + max_wait;
+    let mut deadline = None;
     loop {
         // `full` means the *next* queued job no longer fits by rows —
         // stop waiting for stragglers, there is no room for them.
@@ -622,10 +628,11 @@ fn gather_batch(
             rows += job.rows;
             batch.push(job);
         }
-        if full || rows >= max_rows || state.shutting_down {
+        if max_wait.is_zero() || full || rows >= max_rows || state.shutting_down {
             break;
         }
         let now = Instant::now();
+        let deadline = *deadline.get_or_insert(now + max_wait);
         if now >= deadline {
             break;
         }
@@ -739,7 +746,8 @@ struct Micro {
 }
 
 /// First pipeline stage: owns the request queue end — gathers dynamic
-/// batches exactly like a classic worker, encodes them, runs its op
+/// batches exactly like a classic worker (work-conserving unless
+/// `max_wait` opts into a straggler window), encodes them, runs its op
 /// range, and streams the resulting flow downstream.
 fn stage0_loop(
     shared: &Shared,

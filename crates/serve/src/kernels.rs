@@ -50,6 +50,7 @@ use crate::quant::{QuantFinish, QuantKind, QuantOp};
 // lives in `rapidnn_core::nearest`, shared with the composer's encode
 // paths so both sides pay the same cost per encode.
 use rapidnn_core::nearest::{load_keys, nearest_index, nearest_sorted, nearest_sorted_block};
+use std::sync::OnceLock;
 
 /// Domain of the data currently flowing between ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,19 +146,6 @@ pub struct BatchRunner {
     /// Row-major *quantized* input row for the integer Madd fast path
     /// (see [`quantize_row`]).
     tile_q: Vec<i16>,
-    /// Recovered per-weight-code factors of the current product table
-    /// (see [`factor_table`]).
-    wvals: Vec<f32>,
-    /// Decoded weight matrix (`outputs × inputs`) for the factored
-    /// dense fast path, rebuilt once per op per batch.
-    wdec: Vec<f32>,
-    /// Decoded weight-code tile for models whose code pool is
-    /// bit-packed (format v2): each neuron op's span is unpacked here
-    /// once per batch, so the gather loops read the same wide codes
-    /// they read for v1 models — bit-for-bit identical results, with
-    /// the unpack cost amortized across the whole batch. Wide pools
-    /// borrow their codes directly and leave this untouched.
-    wcodes: Vec<u16>,
 }
 
 impl BatchRunner {
@@ -185,9 +173,6 @@ impl BatchRunner {
         self.tile.reserve(max_width.saturating_mul(LANES));
         self.tile_f.reserve(max_width.saturating_mul(LANES));
         self.tile_q.reserve(plan.max_tile_q);
-        self.wvals.reserve(plan.max_wcount);
-        self.wdec.reserve(plan.max_dense);
-        self.wcodes.reserve(plan.max_wcodes);
         let cap = max_rows.saturating_mul(max_width);
         self.codes.reserve(cap);
         self.codes_next.reserve(cap);
@@ -205,10 +190,10 @@ impl BatchRunner {
     /// (capacities, not live lengths).
     ///
     /// This is the runner's whole heap footprint, exposed so tests can
-    /// pin the high-water accounting — in particular that models whose
-    /// table ops all run the integer path stop paying for weight-code
-    /// decode tiles, so the arena no longer scales with the artifact's
-    /// code-section size.
+    /// pin the high-water accounting. Weight tiles are not part of it:
+    /// they are decoded once per model and held by the model (see
+    /// [`CompiledModel::weight_tile_bytes`]), so the arena depends only
+    /// on flow widths, codebooks and batch size.
     pub fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
         self.codes.capacity() * size_of::<u16>()
@@ -225,9 +210,6 @@ impl BatchRunner {
             + self.tile.capacity() * size_of::<u16>()
             + self.tile_f.capacity() * size_of::<f32>()
             + self.tile_q.capacity() * size_of::<i16>()
-            + self.wvals.capacity() * size_of::<f32>()
-            + self.wdec.capacity() * size_of::<f32>()
-            + self.wcodes.capacity() * size_of::<u16>()
     }
 
     /// Runs batched inference over `rows × features` row-major `inputs`,
@@ -374,9 +356,6 @@ impl BatchRunner {
             tile,
             tile_f,
             tile_q,
-            wvals,
-            wdec,
-            wcodes: wcodes_scratch,
         } = self;
         let pool_f: &[f32] = model.float_pool();
         // Residual nesting is stage-local: the planner only cuts at
@@ -410,9 +389,9 @@ impl BatchRunner {
                     // tiles materialized once at load time, streamed
                     // straight from the (possibly bit-packed) code
                     // sections. This branch never calls `codes_for`:
-                    // no per-op weight tile is decoded into the arena,
-                    // and the activation + re-encode are baked into
-                    // the finish LUT, so the op is one pass.
+                    // a licensed op holds no wide weight tile, and the
+                    // activation + re-encode are baked into the finish
+                    // LUT, so the op is one pass.
                     let quant_op = model
                         .quant
                         .as_ref()
@@ -494,20 +473,19 @@ impl BatchRunner {
                         width = nout;
                         continue;
                     }
-                    let wcodes = model.codes_for(*weight_codes, wcodes_scratch);
+                    let wcodes = model.codes_for(oi, *weight_codes);
                     let b = bias.slice(pool_f);
                     refill(floats_next, padded * nout);
-                    // When the incoming codebook is known, try to factor
-                    // the product table back into per-weight multipliers
-                    // (verified bitwise) and run the op as a packed
-                    // multiply instead of a table gather.
-                    let factored = padded >= LANES
-                        && cur_book
-                            .is_some_and(|bk| factor_table(pool_f, table, bk.slice(pool_f), wvals));
+                    // When the product table factors against the
+                    // codebook the flow is in (checked bitwise, once per
+                    // model), run the op as a packed multiply instead of
+                    // a table gather.
+                    let factored = cur_book
+                        .filter(|_| padded >= LANES)
+                        .and_then(|bk| model.tiles.factored(oi, bk, pool_f, table, wcodes));
                     let mut r0 = 0usize;
-                    if factored {
-                        let bk = cur_book.map_or(&[] as &[f32], |s| s.slice(pool_f));
-                        decode_weights(wvals, wcodes, wdec);
+                    if let Some(f) = factored {
+                        let bk = f.book.slice(pool_f);
                         while r0 + LANES <= padded {
                             interleave_decode(
                                 &codes[r0 * nin..(r0 + LANES) * nin],
@@ -516,7 +494,7 @@ impl BatchRunner {
                                 tile_f,
                             );
                             dense_mul_block(
-                                wdec,
+                                &f.weights,
                                 b,
                                 tile_f,
                                 &mut floats_next[r0 * nout..(r0 + LANES) * nout],
@@ -577,7 +555,7 @@ impl BatchRunner {
                     if domain != Domain::Codes {
                         return Err(decoded_neuron());
                     }
-                    let wcodes = model.codes_for(*weight_codes, wcodes_scratch);
+                    let wcodes = model.codes_for(oi, *weight_codes);
                     let b = bias.slice(pool_f);
                     let in_vol = g.in_volume();
                     let nout = out_channels * g.out_pixels();
@@ -780,13 +758,6 @@ struct Plan {
     max_book: usize,
     /// Largest activation lookup table applied.
     max_act: usize,
-    /// Most weight representatives in any product table.
-    max_wcount: usize,
-    /// Largest dense weight matrix (`outputs × inputs`).
-    max_dense: usize,
-    /// Longest weight-code span of any neuron op (the packed-pool
-    /// decode tile's high-water mark).
-    max_wcodes: usize,
     /// Widest quantized-input row of any integer Madd op.
     max_tile_q: usize,
 }
@@ -794,12 +765,11 @@ struct Plan {
 /// Walks the op program's flow widths, collecting the scratch arena's
 /// high-water marks.
 ///
-/// Quantized models reserve less: an analyzer-licensed dense op runs
+/// No weight state is reserved here — decoded weight codes and
+/// factored matrices live on the model ([`WeightTiles`]). Quantized
+/// models reserve less still: an analyzer-licensed dense op runs
 /// entirely on tiles materialized at load time, so it contributes no
-/// weight-decode, factored-matrix, activation-key or encode-book
-/// capacity — only its interleave tile. In particular `max_wcodes`
-/// (the packed-pool decode tile) skips licensed ops, so a fully
-/// licensed model's arena no longer grows with its code-section size.
+/// activation-key or encode-book capacity — only its interleave tile.
 fn plan(model: &CompiledModel) -> Plan {
     let mut width = model.input_features;
     let mut p = Plan {
@@ -807,9 +777,6 @@ fn plan(model: &CompiledModel) -> Plan {
         skip_depth: 0,
         max_book: model.virtual_encoder.len,
         max_act: 0,
-        max_wcount: 0,
-        max_dense: 0,
-        max_wcodes: 0,
         max_tile_q: 0,
     };
     let mut depth = 0usize;
@@ -830,12 +797,9 @@ fn plan(model: &CompiledModel) -> Plan {
             .and_then(Option::as_ref);
         match op {
             Op::Dense {
-                inputs,
                 outputs,
-                weight_codes,
                 encoder,
                 act,
-                table,
                 ..
             } => {
                 width = *outputs;
@@ -846,15 +810,11 @@ fn plan(model: &CompiledModel) -> Plan {
                 } else {
                     p.max_book = p.max_book.max(span_len(encoder));
                     p.max_act = p.max_act.max(act_len(act));
-                    p.max_wcount = p.max_wcount.max(table.weight_count);
-                    p.max_dense = p.max_dense.max(inputs.saturating_mul(*outputs));
-                    p.max_wcodes = p.max_wcodes.max(weight_codes.len);
                 }
             }
             Op::Conv {
                 geom,
                 out_channels,
-                weight_codes,
                 encoder,
                 act,
                 ..
@@ -862,7 +822,6 @@ fn plan(model: &CompiledModel) -> Plan {
                 width = out_channels * geom.out_pixels();
                 p.max_book = p.max_book.max(span_len(encoder));
                 p.max_act = p.max_act.max(act_len(act));
-                p.max_wcodes = p.max_wcodes.max(weight_codes.len);
             }
             Op::MaxPool(g) => width = g.in_channels * g.out_pixels(),
             Op::AvgPool { geom: g, codebook } => {
@@ -982,14 +941,14 @@ fn interleave(xblock: &[u16], width: usize, tile: &mut Vec<u16>) {
 /// nonzero book entry and then **every** product is verified bitwise
 /// against the stored table, so on success `wvals[w] * book[x]`
 /// reproduces each entry exactly and the caller may replace the table
-/// gather with a packed multiply ([`dense_mul_block`]). Returns `false`
+/// gather with a packed multiply ([`dense_mul_block`]). Returns `None`
 /// — leaving the gather path in charge — for tables not of this form
 /// (possible only in hand-crafted artifacts).
-fn factor_table(pool_f: &[f32], table: &TableRef, book: &[f32], wvals: &mut Vec<f32>) -> bool {
+fn factor_table(pool_f: &[f32], table: &TableRef, book: &[f32]) -> Option<Vec<f32>> {
     if book.is_empty() || book.len() > table.input_count || table.weight_count == 0 {
-        return false;
+        return None;
     }
-    wvals.clear();
+    let mut wvals = Vec::with_capacity(table.weight_count);
     for w in 0..table.weight_count {
         let row = table.row(pool_f, w as u16);
         let mut found = None;
@@ -1006,21 +965,134 @@ fn factor_table(pool_f: &[f32], table: &TableRef, book: &[f32], wvals: &mut Vec<
             found = Some(cand);
             break;
         }
-        match found {
-            Some(v) => wvals.push(v),
-            None => return false,
-        }
+        wvals.push(found?);
     }
-    true
+    Some(wvals)
 }
 
 /// Expands the weight-code matrix through the recovered factors
 /// (`wdec[j] = wvals[wcodes[j]]`) into one flat `outputs × inputs`
 /// matrix for [`dense_mul_block`] to stream through.
-fn decode_weights(wvals: &[f32], wcodes: &[u16], wdec: &mut Vec<f32>) {
+fn decode_weights(wvals: &[f32], wcodes: &[u16]) -> Vec<f32> {
     let last = wvals.len() - 1;
-    wdec.clear();
-    wdec.extend(wcodes.iter().map(|&w| wvals[(w as usize).min(last)]));
+    wcodes
+        .iter()
+        .map(|&w| wvals[(w as usize).min(last)])
+        .collect()
+}
+
+/// The f32 kernels' weight state, decoded once per model instead of
+/// once per batch. Each op's state sits in once-cells that the first
+/// batch needing it fills; every later batch, on any worker or stage,
+/// borrows it, so no batch after the first unpacks a code section or
+/// re-verifies a factoring:
+///
+/// * for a bit-packed (v2) code pool, each f32 neuron op's weight-code
+///   span, unpacked to wide `u16` codes (a wide pool is borrowed as is
+///   and gets no copy);
+/// * for each dense op whose product table factors against the
+///   codebook its input flow is encoded in ([`factor_table`]), the
+///   decoded `outputs × inputs` weight matrix of the packed-multiply
+///   path — built by the first batch of at least [`LANES`] rows, the
+///   only batches that take that path.
+///
+/// The memory trade: up to 2 bytes per packed weight code plus 4 per
+/// factored dense weight, paid once per model and shared by every
+/// worker and stage, so the batch arena holds no weight state at all.
+/// Filling on use keeps it off models that never serve f32 batches:
+/// an artifact loaded only to be optimized decodes nothing, and
+/// [`CompiledModel::quantize`] starts the cells over so int16-licensed
+/// ops, which never read them, hold nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WeightTiles {
+    /// One entry per op, indexed by global op index.
+    ops: Vec<OpTile>,
+}
+
+/// One op's decoded weight state; stays empty for ops without weights.
+#[derive(Debug, Clone, Default)]
+struct OpTile {
+    /// Wide weight codes unpacked from a bit-packed pool.
+    codes: OnceLock<Vec<u16>>,
+    /// The factored multiply path's state; `None` inside when the
+    /// table does not factor.
+    factored: OnceLock<Option<Factored>>,
+}
+
+/// A dense product table factored against one input codebook.
+#[derive(Debug, Clone)]
+struct Factored {
+    /// The codebook the factoring was verified against; the path
+    /// applies only while the flow's codes index exactly this book.
+    book: Span,
+    /// Decoded `outputs × inputs` weight matrix.
+    weights: Vec<f32>,
+}
+
+impl WeightTiles {
+    /// Empty cells for a model of `ops` ops.
+    pub(crate) fn new(ops: usize) -> WeightTiles {
+        WeightTiles {
+            ops: vec![OpTile::default(); ops],
+        }
+    }
+
+    /// The unpacked weight codes of op `oi`, decoded by `unpack` on
+    /// first use.
+    pub(crate) fn codes(&self, oi: usize, unpack: impl FnOnce() -> Vec<u16>) -> &[u16] {
+        self.ops[oi].codes.get_or_init(unpack)
+    }
+
+    /// The factored state of dense op `oi` while its input codes index
+    /// `book`, factoring the op's table against `book` on first use.
+    /// `None` when the table does not factor (the caller gathers).
+    fn factored(
+        &self,
+        oi: usize,
+        book: Span,
+        pool_f: &[f32],
+        table: &TableRef,
+        wcodes: &[u16],
+    ) -> Option<&Factored> {
+        self.ops
+            .get(oi)?
+            .factored
+            .get_or_init(|| {
+                let wvals = factor_table(pool_f, table, book.slice(pool_f))?;
+                Some(Factored {
+                    book,
+                    weights: decode_weights(&wvals, wcodes),
+                })
+            })
+            .as_ref()
+            .filter(|f| f.book == book)
+    }
+
+    /// Heap bytes held by the tiles decoded so far.
+    pub(crate) fn bytes(&self) -> usize {
+        self.ops
+            .iter()
+            .map(|t| {
+                t.codes
+                    .get()
+                    .map_or(0, |c| c.capacity() * std::mem::size_of::<u16>())
+                    + t.factored
+                        .get()
+                        .and_then(Option::as_ref)
+                        .map_or(0, |f| f.weights.capacity() * std::mem::size_of::<f32>())
+            })
+            .sum()
+    }
+}
+
+/// The tiles are a pure function of the fields compared alongside
+/// them, so they never distinguish two models: a wide in-memory model
+/// and its bit-packed reload stay equal although only the second holds
+/// unpacked codes.
+impl PartialEq for WeightTiles {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 /// [`interleave`] fused with a codebook decode, producing the `f32`
@@ -1577,6 +1649,29 @@ fn decoded_neuron() -> ServeError {
 mod tests {
     use super::*;
     use crate::artifact::nearest;
+
+    /// The factored multiply and the table gather are two routes to the
+    /// same bits. The hand-built chain's tables are exact products, so
+    /// with tile cells every dense op factors from 8 rows on; without
+    /// cells every op gathers, in the block kernel from 8 rows on. Both
+    /// must agree at every batch size.
+    #[test]
+    fn factored_and_gather_dense_paths_agree() {
+        let gather = CompiledModel::deep_for_tests(3);
+        let mut factored = gather.clone();
+        factored.tiles = WeightTiles::new(factored.ops.len());
+        for rows in [1, 2, 7, 8, 9, 33] {
+            let inputs: Vec<f32> = (0..rows * 4).map(|i| (i % 11) as f32 / 5.0 - 1.0).collect();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            BatchRunner::new().run(&gather, &inputs, &mut a).unwrap();
+            BatchRunner::new().run(&factored, &inputs, &mut b).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "{rows} rows");
+        }
+        assert_eq!(gather.tiles.bytes(), 0, "gather model built tiles");
+        // Three 4×4 dense ops, each factored into 16 f32 weights.
+        assert_eq!(factored.tiles.bytes(), 3 * 16 * 4, "not every op factored");
+    }
 
     /// The branch-free search must agree with the reference binary
     /// search on every probe, including exact hits, ties, boundary

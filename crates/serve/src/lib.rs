@@ -18,10 +18,10 @@
 //!   all rows, with zero per-sample heap allocations in the steady
 //!   state and outputs bit-for-bit identical to per-sample `infer`.
 //! * [`engine`] — [`Engine`] serves a compiled model from a worker pool
-//!   with a bounded queue, dynamic batching, explicit backpressure
-//!   ([`ServeError::QueueFull`]) and draining shutdown. Each worker owns
-//!   a persistent [`BatchRunner`] and executes its gathered batch in one
-//!   kernel call.
+//!   with a bounded queue, work-conserving dynamic batching, explicit
+//!   backpressure ([`ServeError::QueueFull`]) and draining shutdown.
+//!   Each worker owns a persistent [`BatchRunner`] and executes its
+//!   gathered batch in one kernel call.
 //! * [`lint`] — [`lint_bytes`] runs the same analyzer over raw
 //!   artifact bytes and returns its full diagnostic report; the report
 //!   is clean exactly when [`CompiledModel::from_bytes_strict`], the one

@@ -46,6 +46,7 @@ pub fn lint_bytes(bytes: &[u8]) -> Report {
 mod tests {
     use super::*;
     use crate::artifact::{CodePool, FloatPool, Geom, Op, Span};
+    use crate::kernels::WeightTiles;
     use rapidnn_analyze::Severity;
 
     fn padded_pool_model() -> CompiledModel {
@@ -70,6 +71,7 @@ mod tests {
             floats: FloatPool::Owned(vec![0.0, 1.0]),
             codes: CodePool::Wide(vec![]),
             quant: None,
+            tiles: WeightTiles::default(),
         }
     }
 
@@ -97,6 +99,7 @@ mod tests {
             floats: FloatPool::Owned(vec![0.0; len]),
             codes: CodePool::Wide(vec![]),
             quant: None,
+            tiles: WeightTiles::default(),
         };
         let report = lint_bytes(&model.to_bytes());
         let d = report

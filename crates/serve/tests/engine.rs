@@ -334,3 +334,62 @@ fn dropping_engine_without_shutdown_does_not_hang() {
     // The accepted request was drained before the workers exited.
     assert!(ticket.wait().is_ok());
 }
+
+/// The default engine is work-conserving (`max_wait` is zero), yet it
+/// still batches: requests that queue while a worker is busy leave
+/// together as one batch when it frees up. One worker is held busy on
+/// a large pre-batched block while 16 single rows queue behind it; the
+/// block's kernel call outlasts the 16 enqueues by orders of magnitude
+/// (the engine exposes no hook to pause a worker outright).
+#[test]
+fn batches_still_form_at_zero_wait() {
+    const BIG_ROWS: usize = 1 << 15;
+    const SINGLES: usize = 16;
+
+    let mut rng = SeededRng::new(9);
+    let model = compiled_model(&mut rng);
+    let reference = model.clone();
+    let config = EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    };
+    assert_eq!(config.max_wait, Duration::ZERO, "default must not wait");
+    let engine = Engine::start(model, config);
+
+    let big = vec_f32(&mut rng, BIG_ROWS * FEATURES, -2.0, 2.0);
+    let big_ticket = engine.try_submit_batch(big.clone()).unwrap();
+    let singles: Vec<(Vec<f32>, _)> = (0..SINGLES)
+        .map(|_| {
+            let input = vec_f32(&mut rng, FEATURES, -2.0, 2.0);
+            let ticket = engine.try_submit(input.clone()).unwrap();
+            (input, ticket)
+        })
+        .collect();
+
+    let big_out = big_ticket.wait().unwrap();
+    for (row, out) in big
+        .chunks(FEATURES)
+        .zip(big_out.chunks(reference.output_features()))
+        .step_by(997)
+    {
+        assert_eq!(out, reference.infer(row).unwrap().as_slice());
+    }
+    for (input, ticket) in singles {
+        assert_eq!(ticket.wait().unwrap(), reference.infer(&input).unwrap());
+    }
+
+    let stats = engine.shutdown();
+    assert_eq!(stats.submitted, (SINGLES + 1) as u64);
+    assert_eq!(stats.completed, stats.submitted);
+    assert_eq!(stats.failed, 0);
+    // Buckets from index 1 up count batches of two or more rows: the
+    // big block is one of them, so at least one more means some singles
+    // left together instead of one kernel call each.
+    let multi_row: u64 = stats.batch_size_buckets[1..].iter().sum();
+    assert!(
+        multi_row >= 2,
+        "no multi-row batch formed from the queued singles: {:?}",
+        stats.batch_size_buckets
+    );
+    assert!(stats.batches <= SINGLES as u64, "every single ran alone");
+}

@@ -18,9 +18,9 @@
 //! * the single-path f32 block kernels (unclamped dense and conv
 //!   gathers, padded conv taps, code-domain pooling) reproduce the
 //!   source network bit for bit;
-//! * licensed ops stop charging the batch arena for weight tiles, so
-//!   a quantized runner's scratch no longer scales with the model's
-//!   code-section size.
+//! * licensed ops hold no f32 weight tile, so a fully quantized
+//!   model's resident bytes (runner arena plus decoded tiles) no
+//!   longer scale with the model's code-section size.
 
 use rapidnn::composer::{ReinterpretOptions, ReinterpretedNetwork};
 use rapidnn::data::{benchmark_dataset, SyntheticSpec};
@@ -236,36 +236,58 @@ fn single_path_kernels_match_the_source_network() {
     }
 }
 
-/// Licensed ops contribute no weight-decode scratch: quantizing a model
-/// shrinks the runner's arena by at least the dense weight tiles.
+/// Resident bytes of serving `model` with one 64-row runner, after a
+/// 64-row batch has run: the runner's scratch arena plus the weight
+/// tiles the model decoded once for its f32 kernels.
+fn resident_bytes(model: &CompiledModel) -> usize {
+    let mut runner = BatchRunner::for_model(model, 64);
+    let inputs: Vec<f32> = (0..64 * model.input_features())
+        .map(|i| (i % 13) as f32 / 4.0 - 1.5)
+        .collect();
+    runner
+        .run(model, &inputs, &mut Vec::new())
+        .expect("64-row batch");
+    runner.scratch_bytes() + model.weight_tile_bytes()
+}
+
+/// Licensed ops carry no f32 weight tile: quantizing a model shrinks
+/// runner + model bytes by at least the dense weight tiles, for the
+/// in-memory model and its bit-packed reload alike.
 #[test]
 fn quantized_arena_skips_weight_tiles() {
     let mut rng = SeededRng::new(55);
-    let model = compiled_mlp(&mut rng, 12, &[48, 48], 4, 16);
-    let mut quantized = model.clone();
-    quantized.quantize().expect("quantize");
-    assert!(quantized.licensed_ops() > 0);
-
-    let f32_arena = BatchRunner::for_model(&model, 64).scratch_bytes();
-    let q_arena = BatchRunner::for_model(&quantized, 64).scratch_bytes();
-    // The 48x48 layer alone costs the f32 path a u16 weight-code tile
-    // (plus an f32 decoded matrix) the integer path never reserves; the
-    // margin only demands the code tile since the integer path adds a
-    // small quantized-input tile of its own.
-    let weight_tiles = 48 * 48 * 2;
-    assert!(
-        q_arena + weight_tiles <= f32_arena,
-        "quantized arena {q_arena} not smaller than f32 arena {f32_arena} by {weight_tiles}"
-    );
+    let wide = compiled_mlp(&mut rng, 12, &[48, 48], 4, 16);
+    let packed = CompiledModel::from_bytes_strict(&wide.to_bytes()).expect("v2 load");
+    for model in [wide, packed] {
+        // Serve f32 first, so the clone carries decoded tiles into
+        // `quantize`, which must drop them.
+        let f32_bytes = resident_bytes(&model);
+        let mut quantized = model.clone();
+        quantized.quantize().expect("quantize");
+        assert!(quantized.licensed_ops() > 0);
+        let q_bytes = resident_bytes(&quantized);
+        // The 48x48 layer alone costs the f32 path a weight tile (an
+        // f32 factored matrix, plus the unpacked u16 codes when the
+        // pool is bit-packed) the integer path never holds; the margin
+        // only demands a u16 tile's worth since the integer path adds a
+        // small quantized-input tile of its own.
+        let weight_tiles = 48 * 48 * 2;
+        assert!(
+            q_bytes + weight_tiles <= f32_bytes,
+            "quantized bytes {q_bytes} not smaller than f32 bytes {f32_bytes} by {weight_tiles}"
+        );
+    }
 }
 
-/// A fully licensed model's arena is independent of its code-section
-/// size: deepening the model grows the artifact but not the scratch.
+/// A fully licensed model's resident bytes are independent of its
+/// code-section size: deepening the model grows the artifact but
+/// neither the scratch arena nor the decoded weight tiles.
 #[test]
 fn quantized_arena_does_not_scale_with_code_sections() {
     let build = |hidden: &[usize]| {
         let mut rng = SeededRng::new(66);
-        let mut m = compiled_mlp(&mut rng, 10, hidden, 3, 8);
+        let wide = compiled_mlp(&mut rng, 10, hidden, 3, 8);
+        let mut m = CompiledModel::from_bytes_strict(&wide.to_bytes()).expect("v2 load");
         m.quantize().expect("quantize");
         m
     };
@@ -278,8 +300,8 @@ fn quantized_arena_does_not_scale_with_code_sections() {
         "deep artifact should carry more code sections"
     );
     assert_eq!(
-        BatchRunner::for_model(&deep, 64).scratch_bytes(),
-        BatchRunner::for_model(&shallow, 64).scratch_bytes(),
-        "arena must not grow with code-section size on the integer path"
+        resident_bytes(&deep),
+        resident_bytes(&shallow),
+        "runner + model bytes must not grow with code-section size on the integer path"
     );
 }
