@@ -65,7 +65,7 @@ const Q_MAX: f64 = 32766.0;
 /// leaving a 4× safety margin inside `i32`.
 const ACC_BUDGET: f64 = (1u64 << 30) as f64;
 /// Hard cap on materialized finish-LUT rows (u16-indexable).
-const MAX_LUT_LEN: usize = 1 << 16;
+pub const MAX_LUT_LEN: usize = 1 << 16;
 
 /// How a licensed op multiplies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,13 +268,17 @@ impl<'p> QuantWalk<'p, '_> {
         self.program.floats.get(s.start..end)
     }
 
-    /// A span that must hold a sorted, finite, non-empty codebook.
+    /// A span that must hold a finite, non-empty codebook sorted by
+    /// `total_cmp` — the order the serving runtime's nearest search
+    /// assumes. `<=` alone would pass `[0.0, -0.0]`, on which that
+    /// search is no longer monotone, and the finish-LUT materializer
+    /// relies on monotonicity to fill buckets by runs.
     fn book(&self, s: Span) -> Option<&'p [f32]> {
         let vals = self.floats(s)?;
         if vals.is_empty() || vals.len() > MAX_LUT_LEN {
             return None;
         }
-        let sorted = vals.windows(2).all(|w| w[0] <= w[1]);
+        let sorted = vals.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le());
         let finite = vals.iter().all(|v| v.is_finite());
         (sorted && finite).then_some(vals)
     }
@@ -929,6 +933,25 @@ mod tests {
         assert!((hi_q as f64) / scale >= op.acc.hi);
         // Encoding adds the book's contraction defect to the bound.
         assert!(op.error >= 2.0 * 0.75, "error {}", op.error);
+    }
+
+    #[test]
+    fn signed_zero_misordered_encoder_is_refused() {
+        // `0.0 <= -0.0` holds, but `total_cmp` orders -0.0 first: the
+        // nearest search over this book is not monotone, so no finish
+        // LUT may bake it in.
+        let mut program = tiny(&[-0.5, 1.0]);
+        let floats = program.floats.to_mut();
+        let enc = floats.len();
+        floats.extend([-1.0, 0.0, -0.0, 2.0]);
+        if let Op::Dense { encoder, .. } = &mut program.ops[0] {
+            *encoder = Some(Span { start: enc, len: 4 });
+        }
+        let plan = quantize_plan(&program);
+        assert_eq!(plan.ops[0], OpQuant::Fallback(FallbackReason::Invalid));
+        // The same book in total order licenses.
+        program.floats.to_mut()[enc + 1..enc + 3].copy_from_slice(&[-0.0, 0.0]);
+        assert_eq!(quantize_plan(&program).licensed(), 1);
     }
 
     #[test]

@@ -23,11 +23,12 @@
 //! [`Registry::infer_labeled`] reports the generation of the engine that
 //! actually answered, even when a cutover lands mid-request.
 //!
-//! The swap sequence never drops accepted work. In-flight requests hold
-//! an `Arc` to the engine slot they submitted to; the swap waits for
-//! those references to drop (the old engine is still serving them)
-//! before draining, and a request that races the cutover and hits
-//! `ShuttingDown` retries against the fresh slot.
+//! The swap sequence never drops accepted work. The slot is replaced
+//! before the displaced engine begins to drain, and the drain runs
+//! through the handle in-flight requests still share: requests already
+//! queued on the old engine are answered before its workers exit, and a
+//! request that races the cutover and hits `ShuttingDown` re-reads the
+//! slot, which already names the successor, and retries there.
 
 use crate::error::GatewayError;
 use rapidnn_analyze::Pass;
@@ -35,7 +36,7 @@ use rapidnn_serve::{CompiledModel, Engine, EngineConfig, PipelineStats, ServeErr
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, TryLockError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning for a [`Registry`] and the engines it builds.
 #[derive(Debug, Clone)]
@@ -437,21 +438,24 @@ impl Registry {
     /// full submit → batch → kernel → reply path before real traffic
     /// arrives: it grows the workers' scratch arenas and makes the
     /// model decode its f32 weight codes, once per model, off the
-    /// request path. With the default work-conserving engine each
-    /// sample is answered as soon as a worker is free, so warmup adds
-    /// no batch-window wait to a swap.
+    /// request path. Every sample is submitted before any is redeemed,
+    /// so they batch together instead of paying one engine round trip
+    /// each; submission blocks for queue space, so a queue smaller than
+    /// `warmup_samples` still warms. Any failed sample fails the warmup.
     fn warm(&self, engine: &Engine) -> Result<(), GatewayError> {
+        let failed = |e: ServeError| GatewayError::WarmupFailed(e.to_string());
         let features = engine.model().input_features();
-        for i in 0..self.config.warmup_samples {
-            let input: Vec<f32> = (0..features)
-                .map(|f| ((i * 31 + f * 7) % 17) as f32 / 16.0 - 0.5)
-                .collect();
-            let outcome = engine
-                .try_submit(input)
-                .and_then(rapidnn_serve::Ticket::wait);
-            if let Err(e) = outcome {
-                return Err(GatewayError::WarmupFailed(e.to_string()));
-            }
+        let tickets = (0..self.config.warmup_samples)
+            .map(|i| {
+                let input: Vec<f32> = (0..features)
+                    .map(|f| ((i * 31 + f * 7) % 17) as f32 / 16.0 - 0.5)
+                    .collect();
+                engine.submit(input)
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(failed)?;
+        for ticket in tickets {
+            ticket.wait().map_err(failed)?;
         }
         Ok(())
     }
@@ -496,9 +500,11 @@ impl Registry {
         }
         // A submission can race a hot-swap cutover: it reads the old
         // slot, the swap replaces it, the old engine begins draining and
-        // answers `ShuttingDown`. Re-reading the slot and retrying makes
-        // the swap invisible to clients. Bounded, because each retry
-        // observes a strictly newer slot and swaps are serialized.
+        // answers `ShuttingDown`. The swap replaces the slot before it
+        // drains, so an immediate re-read already sees the successor and
+        // retrying makes the swap invisible to clients. Bounded, because
+        // each retry observes a strictly newer slot and swaps are
+        // serialized.
         for _attempt in 0..8 {
             let served = read_slot(&entry.slot);
             let engine = &served.engine;
@@ -515,10 +521,8 @@ impl Registry {
                         retry_after: self.config.retry_after,
                     });
                 }
-                Err(ServeError::ShuttingDown) => {
-                    // Swap cutover in progress; grab the fresh slot.
-                    std::thread::sleep(Duration::from_micros(50));
-                }
+                // Swap cutover in progress; grab the fresh slot.
+                Err(ServeError::ShuttingDown) => {}
                 Err(e) => return Err(GatewayError::from_serve(name, e)),
             }
         }
@@ -564,9 +568,9 @@ impl Registry {
             .write_models()
             .remove(name)
             .ok_or_else(|| GatewayError::UnknownModel(name.to_string()))?;
-        // Late racers that already resolved this entry keep the engine
-        // alive through their own slot clones; the drain below waits for
-        // them before shutting the engine down.
+        // Late racers that already resolved this entry still share the
+        // engine: what they queued is answered before it exits, and
+        // anything later gets `ShuttingDown`.
         let slot = read_slot(&entry.slot);
         drop(entry);
         Ok(drain_displaced(slot, self.config.drain_deadline).0)
@@ -626,29 +630,14 @@ fn write_slot(slot: &RwLock<Arc<Served>>) -> std::sync::RwLockWriteGuard<'_, Arc
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Waits for a displaced engine's outstanding references (in-flight
-/// requests still being served by it) to drop, then drains it inside
-/// what remains of the deadline. Returns `(final stats, fully joined)`;
-/// on deadline the engine is simply released — its last reference
-/// holder joins the workers on drop, so accepted requests still finish.
-fn drain_displaced(mut displaced: Arc<Served>, deadline: Duration) -> (Option<ServerStats>, bool) {
-    let end = Instant::now() + deadline;
-    loop {
-        match Arc::try_unwrap(displaced) {
-            Ok(served) => {
-                let remaining = end.saturating_duration_since(Instant::now());
-                let report = served.engine.drain(remaining);
-                return (Some(report.stats), report.joined);
-            }
-            Err(still_shared) => {
-                if Instant::now() >= end {
-                    return (None, false);
-                }
-                displaced = still_shared;
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
-    }
+/// Drains a displaced engine through its shared handle, so requests
+/// still holding it need not let go first: what they queued is answered
+/// before the workers exit. Returns `(final stats when it joined in
+/// time, fully joined)`; on deadline the workers are detached and
+/// still answer every accepted request.
+fn drain_displaced(displaced: Arc<Served>, deadline: Duration) -> (Option<ServerStats>, bool) {
+    let report = displaced.engine.drain(deadline);
+    (report.joined.then_some(report.stats), report.joined)
 }
 
 /// Model names are path segments; keep them boring: 1–64 chars of

@@ -129,22 +129,7 @@ impl ActRef {
             ActRef::Identity => y,
             ActRef::Relu => y.max(0.0),
             ActRef::Lookup { inputs, outputs } => {
-                let xs = inputs.slice(floats);
-                let idx = match xs.binary_search_by(|p| p.total_cmp(&y)) {
-                    Ok(i) => i,
-                    Err(ins) => {
-                        if ins == 0 {
-                            0
-                        } else if ins >= xs.len() {
-                            xs.len() - 1
-                        } else if (y - xs[ins - 1]).abs() <= (xs[ins] - y).abs() {
-                            ins - 1
-                        } else {
-                            ins
-                        }
-                    }
-                };
-                outputs.slice(floats)[idx]
+                outputs.slice(floats)[nearest_row(inputs.slice(floats), y)]
             }
         }
     }
@@ -1449,7 +1434,15 @@ impl CompiledModel {
 /// like the scalar path would.
 #[inline]
 pub(crate) fn nearest(values: &[f32], value: f32) -> u16 {
-    let idx = match values.binary_search_by(|probe| probe.total_cmp(&value)) {
+    nearest_row(values, value) as u16
+}
+
+/// [`nearest`] without the `u16` narrowing — also the row search of an
+/// activation lookup ([`ActRef::apply`]), whose input table the
+/// codebook cap does not bound.
+#[inline]
+pub(crate) fn nearest_row(values: &[f32], value: f32) -> usize {
+    match values.binary_search_by(|probe| probe.total_cmp(&value)) {
         Ok(i) => i,
         Err(insertion) => {
             if insertion == 0 {
@@ -1466,8 +1459,7 @@ pub(crate) fn nearest(values: &[f32], value: f32) -> u16 {
                 }
             }
         }
-    };
-    idx as u16
+    }
 }
 
 fn malformed(msg: impl Into<String>) -> ArtifactError {

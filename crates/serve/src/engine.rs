@@ -188,12 +188,83 @@ struct PipelineShape {
     gauges: Vec<rapidnn_pool::spsc::Gauge>,
 }
 
+/// Counts live worker threads so [`Engine::drain`] can wait for them
+/// to exit on a condition variable instead of polling.
+#[derive(Default)]
+struct ExitLatch {
+    live: Mutex<usize>,
+    exited: Condvar,
+}
+
+impl ExitLatch {
+    /// Spawns a worker counted by the latch. The count rises before the
+    /// thread starts and falls when its guard drops — on return or
+    /// during a panic unwind alike.
+    fn spawn(self: &Arc<Self>, work: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+        *lock_latch(self) += 1;
+        let guard = LiveGuard(Arc::clone(self));
+        std::thread::spawn(move || {
+            let _guard = guard;
+            work();
+        })
+    }
+
+    /// Waits until every counted worker has exited or `timeout` has
+    /// passed; `true` when none is left.
+    fn wait(&self, timeout: Duration) -> bool {
+        let end = Instant::now().checked_add(timeout);
+        let mut live = lock_latch(self);
+        while *live > 0 {
+            live = match end {
+                // A deadline past the clock's range waits unbounded.
+                None => self
+                    .exited
+                    .wait(live)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+                Some(end) => {
+                    let now = Instant::now();
+                    if now >= end {
+                        return false;
+                    }
+                    self.exited
+                        .wait_timeout(live, end - now)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .0
+                }
+            };
+        }
+        true
+    }
+}
+
+fn lock_latch(latch: &ExitLatch) -> std::sync::MutexGuard<'_, usize> {
+    latch
+        .live
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// One worker's share of an [`ExitLatch`].
+struct LiveGuard(Arc<ExitLatch>);
+
+impl Drop for LiveGuard {
+    fn drop(&mut self) {
+        let mut live = lock_latch(&self.0);
+        *live -= 1;
+        if *live == 0 {
+            self.0.exited.notify_all();
+        }
+    }
+}
+
 /// A running inference server over one [`CompiledModel`].
 pub struct Engine {
     shared: Arc<Shared>,
     metrics: Arc<Metrics>,
     model: Arc<CompiledModel>,
-    workers: Vec<JoinHandle<()>>,
+    /// Worker handles, taken by the first [`drain`](Self::drain).
+    workers: Mutex<Vec<JoinHandle<()>>>,
+    exits: Arc<ExitLatch>,
     queue_capacity: usize,
     pipeline: Option<PipelineShape>,
 }
@@ -221,6 +292,7 @@ impl Engine {
         });
         let metrics = Arc::new(Metrics::new());
         let model = Arc::new(model);
+        let exits = Arc::new(ExitLatch::default());
         if let Some(plan) = pipeline::plan_stages(&model, config.stages) {
             let n = plan.ranges.len();
             // Channel s connects stage s to stage s+1; each link buffers
@@ -252,13 +324,13 @@ impl Engine {
                     let shared = Arc::clone(&shared);
                     let tx = txs.next().expect("a pipeline has at least two stages");
                     let max_wait = config.max_wait;
-                    workers.push(std::thread::spawn(move || {
+                    workers.push(exits.spawn(move || {
                         stage0_loop(&shared, &metrics, &model, range, max_batch, max_wait, &tx);
                     }));
                 } else {
                     let rx = rxs.next().expect("every later stage has an input link");
                     let tx = txs.next();
-                    workers.push(std::thread::spawn(move || {
+                    workers.push(exits.spawn(move || {
                         stage_loop(&metrics, &model, range, entry, &rx, tx.as_ref());
                     }));
                 }
@@ -267,7 +339,8 @@ impl Engine {
                 shared,
                 metrics,
                 model,
-                workers,
+                workers: Mutex::new(workers),
+                exits,
                 queue_capacity,
                 pipeline: Some(PipelineShape {
                     ranges: plan.ranges,
@@ -283,14 +356,15 @@ impl Engine {
                 let metrics = Arc::clone(&metrics);
                 let model = Arc::clone(&model);
                 let max_wait = config.max_wait;
-                std::thread::spawn(move || worker_loop(shared, metrics, model, max_batch, max_wait))
+                exits.spawn(move || worker_loop(shared, metrics, model, max_batch, max_wait))
             })
             .collect();
         Engine {
             shared,
             metrics,
             model,
-            workers,
+            workers: Mutex::new(workers),
+            exits,
             queue_capacity,
             pipeline: None,
         }
@@ -301,9 +375,9 @@ impl Engine {
         &self.model
     }
 
-    /// Worker-pool size.
+    /// Worker-pool size (`0` once [`drain`](Self::drain) has run).
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        lock_workers(&self.workers).len()
     }
 
     /// Submits a request without blocking.
@@ -451,12 +525,8 @@ impl Engine {
     /// Stops accepting requests, drains the queue, joins the workers, and
     /// returns the final stats. Every request accepted before the call is
     /// still answered.
-    pub fn shutdown(mut self) -> ServerStats {
-        self.begin_shutdown();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        self.metrics.snapshot()
+    pub fn shutdown(self) -> ServerStats {
+        self.drain(Duration::MAX).stats
     }
 
     /// Gracefully drains the engine with a deadline: stops accepting new
@@ -470,22 +540,25 @@ impl Engine {
     /// every accepted ticket is still redeemable either way. This is the
     /// primitive a hot-swap builds on: cut traffic to the new engine,
     /// then `drain` the old one without risking an unbounded stall.
-    pub fn drain(mut self, deadline: Duration) -> DrainReport {
+    ///
+    /// It takes `&self`, so a caller can drain an engine other threads
+    /// still hold: their queued requests are answered before the
+    /// workers exit, and their later submissions get
+    /// [`ServeError::ShuttingDown`]. The wait is on the workers' exit
+    /// latch, so it ends the moment the last one exits — no polling.
+    pub fn drain(&self, deadline: Duration) -> DrainReport {
         self.begin_shutdown();
-        let end = Instant::now() + deadline;
-        let mut workers = std::mem::take(&mut self.workers);
-        loop {
-            workers.retain(|w| !w.is_finished());
-            if workers.is_empty() {
-                return Self::drain_report(&self.metrics, true);
+        let joined = self.exits.wait(deadline);
+        let workers = std::mem::take(&mut *lock_workers(&self.workers));
+        if joined {
+            // Every worker is past its loop; the joins return at once.
+            for worker in workers {
+                let _ = worker.join();
             }
-            if Instant::now() >= end {
-                // Dropping the handles detaches the stragglers; they own
-                // Arcs to everything they touch, so this is safe.
-                return Self::drain_report(&self.metrics, false);
-            }
-            std::thread::sleep(Duration::from_micros(200));
         }
+        // Otherwise dropping the handles detaches the stragglers; they
+        // own Arcs to everything they touch, so this is safe.
+        Self::drain_report(&self.metrics, joined)
     }
 
     fn drain_report(metrics: &Metrics, joined: bool) -> DrainReport {
@@ -546,12 +619,9 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        if self.workers.is_empty() {
-            return;
-        }
-        self.begin_shutdown();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        // Joins the workers unless a drain already took them.
+        if self.worker_count() > 0 {
+            self.drain(Duration::MAX);
         }
     }
 }
@@ -559,11 +629,19 @@ impl Drop for Engine {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.worker_count())
             .field("queue_capacity", &self.queue_capacity)
             .field("input_features", &self.model.input_features())
             .finish()
     }
+}
+
+fn lock_workers(
+    workers: &Mutex<Vec<JoinHandle<()>>>,
+) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
+    workers
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn lock_state(shared: &Shared) -> std::sync::MutexGuard<'_, QueueState> {

@@ -263,6 +263,62 @@ fn drain_report_counts_in_flight_at_deadline() {
     }
 }
 
+/// Drains through a shared handle while another thread holds a clone
+/// of the engine and waits on a ticket queued behind a long job: the
+/// ticket is answered, the workers join, and every accepted request is
+/// accounted for. Unsharded and 2-stage engines alike.
+#[test]
+fn drain_through_shared_handle_answers_the_pending_ticket() {
+    for stages in [0, 2] {
+        let mut rng = SeededRng::new(11);
+        let engine = Arc::new(Engine::start(
+            compiled_model(&mut rng),
+            EngineConfig {
+                workers: 1,
+                queue_capacity: 64,
+                max_batch_size: 4,
+                stages,
+                ..EngineConfig::default()
+            },
+        ));
+        // A long pre-batched job keeps the engine busy, so the single
+        // request behind it is normally still queued when the drain
+        // begins; every assertion below holds whichever finishes first.
+        let rows = 16 * 1024;
+        let big = engine
+            .submit_batch(vec_f32(&mut rng, rows * FEATURES, -2.0, 2.0))
+            .unwrap();
+        let ticket = engine
+            .submit(vec_f32(&mut rng, FEATURES, -2.0, 2.0))
+            .unwrap();
+        let holder = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let answer = ticket.wait();
+                (engine, answer)
+            })
+        };
+        let report = engine.drain(Duration::from_secs(60));
+        assert!(report.joined, "stages {stages}: workers must join");
+        assert_eq!(report.in_flight_at_deadline, 0);
+        assert_eq!(report.stats.submitted, 2);
+        assert_eq!(
+            report.stats.submitted,
+            report.stats.completed + report.stats.failed,
+            "stages {stages}: every accepted request is answered"
+        );
+        let (clone, answer) = holder.join().unwrap();
+        assert_eq!(answer.unwrap().len(), 3, "stages {stages}");
+        assert_eq!(big.wait().unwrap().len(), rows * 3);
+        // The clone still holds the engine, but it no longer accepts.
+        assert!(matches!(
+            clone.try_submit(vec![0.0; FEATURES]),
+            Err(ServeError::ShuttingDown)
+        ));
+        assert_eq!(clone.worker_count(), 0);
+    }
+}
+
 #[test]
 fn drain_on_idle_engine_joins_immediately() {
     let mut rng = SeededRng::new(9);
