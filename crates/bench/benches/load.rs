@@ -98,13 +98,13 @@ fn main() {
 
     // The offered-rate axis is shared across configs so cells line up:
     // multiples of the *unsharded single-worker* closed-loop capacity.
-    let capacity = closed_loop_rps(&model, &configs[0], &request_pool, quick);
+    let (capacity, _) = closed_loop_rps(&model, &configs[0], &request_pool, quick);
     eprintln!("reference capacity (unsharded-1w, closed loop): {capacity:.0} req/s");
 
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let mut config_reports = Vec::new();
     for config in &configs {
-        let closed_loop = closed_loop_rps(&model, config, &request_pool, quick);
+        let (closed_loop, stages_served) = closed_loop_rps(&model, config, &request_pool, quick);
         let mut cells = Vec::new();
         for (i, mult) in RATE_MULTIPLIERS.iter().enumerate() {
             let rate = capacity * mult;
@@ -121,7 +121,6 @@ fn main() {
         }
         // SLO calibrated on this config's own light-load latency.
         let slo_us = (cells[0].p50_us * SLO_FACTOR).max(SLO_FLOOR_US);
-        let stages_served = stage_count(&model, config);
         println!(
             "\n{} (stages={}, workers={}, closed-loop {:.0} req/s, SLO p99 <= {}us)",
             config.name, stages_served, config.workers, closed_loop, slo_us
@@ -191,20 +190,20 @@ fn engine_for(model: &CompiledModel, config: &Config) -> Engine {
     )
 }
 
-fn stage_count(model: &CompiledModel, config: &Config) -> usize {
-    let engine = engine_for(model, config);
-    let stages = engine.stage_count();
-    engine.shutdown();
-    stages
-}
-
 /// Closed-loop saturation throughput: one client keeps a fixed window
 /// of requests in flight, so the engine always has work and the result
 /// is its service capacity, not a function of an arrival process.
-fn closed_loop_rps(model: &CompiledModel, config: &Config, pool: &[Vec<f32>], quick: bool) -> f64 {
+/// Also returns the stage count the engine served with.
+fn closed_loop_rps(
+    model: &CompiledModel,
+    config: &Config,
+    pool: &[Vec<f32>],
+    quick: bool,
+) -> (f64, usize) {
     const IN_FLIGHT: usize = 64;
     let requests = if quick { 4_000 } else { 20_000 };
     let engine = engine_for(model, config);
+    let stages = engine.stage_count();
     let mut pending = std::collections::VecDeque::with_capacity(IN_FLIGHT);
     let start = Instant::now();
     for i in 0..requests {
@@ -220,7 +219,7 @@ fn closed_loop_rps(model: &CompiledModel, config: &Config, pool: &[Vec<f32>], qu
     let elapsed = start.elapsed();
     let stats = engine.shutdown();
     assert_eq!(stats.completed, requests as u64);
-    requests as f64 / elapsed.as_secs_f64()
+    (requests as f64 / elapsed.as_secs_f64(), stages)
 }
 
 /// One open-loop run: Poisson arrivals at `rate` req/s for roughly

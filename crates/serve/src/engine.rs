@@ -1,34 +1,43 @@
 //! Batched, multi-threaded serving engine.
 //!
-//! [`Engine::start`] spins up a worker pool over a bounded request queue.
-//! Batching is work-conserving: a worker that frees up takes whatever is
-//! queued — up to [`EngineConfig::max_batch_size`] rows — and executes
-//! it at once in one [`BatchRunner::run`] call outside the lock, then
-//! answers each request through its own channel. No request is held
-//! back to wait for company: a lone request runs alone, and under load
-//! the backlog that builds while one kernel call runs becomes the next
-//! batch, so batch size grows with the offered rate on its own. The
-//! runner and its scratch arena persist across batches, so steady-state
+//! [`Engine::start`] plans the model as a list of stages, each a
+//! contiguous op range run by one serving loop that takes a batch from
+//! its source, runs its ops and hands the result to its sink. The first
+//! stage's source is a bounded request queue; the last stage's sink is
+//! the requesters' replies; in between, stages pass micro-batches over
+//! bounded single-producer single-consumer links. An unsharded engine
+//! (the default) is the single stage queue → whole program → reply,
+//! run by [`EngineConfig::workers`] threads; [`EngineConfig::stages`]
+//! shards the program into a pipeline with one thread per stage.
+//!
+//! Batching is work-conserving: a queue stage that frees up takes
+//! whatever is queued — up to [`EngineConfig::max_batch_size`] rows —
+//! and executes it at once outside the lock, then answers each request
+//! through its own channel. No request is held back to wait for
+//! company: a lone request runs alone, and under load the backlog that
+//! builds while one kernel call runs becomes the next batch, so batch
+//! size grows with the offered rate on its own. Each thread's
+//! [`BatchRunner`] arena persists across batches, so steady-state
 //! serving performs no per-sample heap allocation in the op loop.
 //!
 //! A non-zero [`EngineConfig::max_wait`] opts into a straggler window:
-//! a worker then holds a partial batch until it fills, shutdown begins,
-//! or `max_wait` has passed since the first request was popped —
-//! never longer, even when the queue has gone idle.
+//! the queue stage then holds a partial batch until it fills, shutdown
+//! begins, or `max_wait` has passed since the first request was popped
+//! — never longer, even when the queue has gone idle.
 //!
 //! Backpressure is explicit: [`Engine::try_submit`] returns
 //! [`ServeError::QueueFull`] instead of buffering without bound, while
 //! [`Engine::submit`] blocks until space frees up. Shutdown drains the
-//! queue before the workers exit, so every accepted request is answered.
-//! A panic inside inference is caught and returned to the affected
-//! requesters as [`ServeError::WorkerPanic`]; the worker itself keeps
-//! serving.
+//! queue and then every link before the threads exit, so every accepted
+//! request is answered. A panic inside inference is caught and returned
+//! to the affected requesters as [`ServeError::WorkerPanic`]; the stage
+//! itself keeps serving.
 
 use crate::artifact::CompiledModel;
 use crate::error::{ArtifactError, Result, ServeError};
 use crate::kernels::{pad_rows, BatchRunner, FlowData, FlowState};
 use crate::metrics::{Metrics, ServerStats};
-use crate::pipeline::{self, PipelineStats, StageStats};
+use crate::pipeline::{self, PipelineStats, StagePlan, StageStats};
 use rapidnn_pool::spsc;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -37,7 +46,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Micro-batches each inter-stage channel buffers: enough for adjacent
+/// Micro-batches each inter-stage link buffers: enough for adjacent
 /// stages to overlap, small enough that backpressure reaches the
 /// request queue after a couple of batches rather than after a pile.
 const STAGE_CHANNEL_CAP: usize = 2;
@@ -45,26 +54,28 @@ const STAGE_CHANNEL_CAP: usize = 2;
 /// Tuning knobs for [`Engine::start`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads; `0` sizes the pool to available parallelism.
-    /// Ignored when [`stages`](Self::stages) shards the model — the
-    /// stage set is the worker set (one thread per stage).
+    /// Threads serving an unsharded model, each running the whole
+    /// program; `0` means one per available core. Ignored when
+    /// [`stages`](Self::stages) shards the model: its links are
+    /// single-producer single-consumer, so each stage runs on one
+    /// thread.
     pub workers: usize,
     /// Maximum queued (accepted but unserved) requests.
     pub queue_capacity: usize,
-    /// Most *rows* a worker executes per batch. A single
+    /// Most *rows* one batch gathers from the queue. A single
     /// [`Engine::submit_batch`] request carrying more rows than this
     /// still runs (alone, in one kernel call).
     pub max_batch_size: usize,
-    /// Longest a worker holds a partial batch waiting for more work.
-    /// The default, [`Duration::ZERO`], is work-conserving: a worker
-    /// runs whatever is queued the moment it frees up. A non-zero value
+    /// Longest a queue stage holds a partial batch waiting for more
+    /// work. The default, [`Duration::ZERO`], is work-conserving: a
+    /// thread runs whatever is queued the moment it frees up. A non-zero value
     /// trades that much added latency for fuller batches.
     pub max_wait: Duration,
-    /// Pipeline stages to shard the op program into: `0` or `1` serves
-    /// unsharded; `2+` splits the model into that many contiguous op
+    /// Pipeline stages to shard the op program into: `0` or `1` runs
+    /// it as one stage; `2+` splits it into that many contiguous op
     /// ranges (clamped to the number of legal cut points), each with
-    /// its own worker and scratch arena, connected by bounded channels.
-    /// Outputs are bit-identical either way.
+    /// its own thread and scratch arena, connected by bounded links.
+    /// Outputs are bit-identical at any stage count.
     pub stages: usize,
 }
 
@@ -180,14 +191,6 @@ pub struct DrainReport {
     pub in_flight_at_deadline: u64,
 }
 
-/// Per-stage plumbing a pipelined engine keeps for stats: the plan plus
-/// each inter-stage channel's occupancy gauge.
-struct PipelineShape {
-    ranges: Vec<std::ops::Range<usize>>,
-    costs: Vec<u64>,
-    gauges: Vec<rapidnn_pool::spsc::Gauge>,
-}
-
 /// Counts live worker threads so [`Engine::drain`] can wait for them
 /// to exit on a condition variable instead of polling.
 #[derive(Default)]
@@ -266,19 +269,23 @@ pub struct Engine {
     workers: Mutex<Vec<JoinHandle<()>>>,
     exits: Arc<ExitLatch>,
     queue_capacity: usize,
-    pipeline: Option<PipelineShape>,
+    /// The op ranges the stages run, in flow order.
+    plan: StagePlan,
+    /// Occupancy of each inter-stage link (stage `s` to `s + 1`).
+    gauges: Vec<spsc::Gauge>,
 }
 
 impl Engine {
-    /// Starts the worker pool and returns the serving handle.
+    /// Starts the serving threads and returns the serving handle.
     ///
     /// With [`EngineConfig::stages`] ≥ 2 (and a model with at least one
     /// legal cut point) the op program is sharded into balanced
     /// contiguous ranges: stage 0 gathers batches from the request
     /// queue, every stage runs its range on its own thread and scratch
     /// arena, and micro-batches stream stage-to-stage through bounded
-    /// FIFO channels — outputs stay bit-identical to the unsharded
-    /// engine at any stage count.
+    /// FIFO links. Otherwise the program is one stage, from the queue
+    /// to the replies, on [`EngineConfig::workers`] threads. Outputs
+    /// are bit-identical at any stage count.
     pub fn start(model: CompiledModel, config: EngineConfig) -> Engine {
         let queue_capacity = config.queue_capacity.max(1);
         let max_batch = config.max_batch_size.max(1);
@@ -293,70 +300,55 @@ impl Engine {
         let metrics = Arc::new(Metrics::new());
         let model = Arc::new(model);
         let exits = Arc::new(ExitLatch::default());
-        if let Some(plan) = pipeline::plan_stages(&model, config.stages) {
-            let n = plan.ranges.len();
-            // Channel s connects stage s to stage s+1; each link buffers
-            // a couple of micro-batches so adjacent stages overlap
-            // without letting a slow stage hoard unbounded work —
-            // backpressure runs from the last stage back to the queue.
-            let mut txs = Vec::with_capacity(n - 1);
-            let mut rxs = Vec::with_capacity(n - 1);
-            let mut gauges = Vec::with_capacity(n - 1);
-            for _ in 1..n {
-                let (tx, rx, gauge) = spsc::channel::<Micro>(STAGE_CHANNEL_CAP);
-                txs.push(tx);
-                rxs.push(rx);
-                gauges.push(gauge);
-            }
-            let mut txs = txs.into_iter();
-            let mut rxs = rxs.into_iter();
-            let mut workers = Vec::with_capacity(n);
-            for (s, (range, entry)) in plan
-                .ranges
-                .iter()
-                .cloned()
-                .zip(plan.entries.iter().copied())
-                .enumerate()
-            {
-                let model = Arc::clone(&model);
-                let metrics = Arc::clone(&metrics);
-                if s == 0 {
-                    let shared = Arc::clone(&shared);
-                    let tx = txs.next().expect("a pipeline has at least two stages");
-                    let max_wait = config.max_wait;
-                    workers.push(exits.spawn(move || {
-                        stage0_loop(&shared, &metrics, &model, range, max_batch, max_wait, &tx);
-                    }));
-                } else {
-                    let rx = rxs.next().expect("every later stage has an input link");
-                    let tx = txs.next();
-                    workers.push(exits.spawn(move || {
-                        stage_loop(&metrics, &model, range, entry, &rx, tx.as_ref());
-                    }));
-                }
-            }
-            return Engine {
-                shared,
-                metrics,
-                model,
-                workers: Mutex::new(workers),
-                exits,
-                queue_capacity,
-                pipeline: Some(PipelineShape {
-                    ranges: plan.ranges,
-                    costs: plan.costs,
-                    gauges,
-                }),
+        let plan = pipeline::plan_stages(&model, config.stages);
+        let n = plan.ranges.len();
+        let queue = || Source::Queue {
+            shared: Arc::clone(&shared),
+            max_rows: max_batch,
+            max_wait: config.max_wait,
+        };
+        // Link s connects stage s to stage s+1; each buffers a couple of
+        // micro-batches so adjacent stages overlap without letting a slow
+        // stage hoard unbounded work — backpressure runs from the last
+        // stage back to the queue.
+        let mut gauges = Vec::with_capacity(n - 1);
+        let mut upstream = None;
+        let mut stages = Vec::with_capacity(n);
+        for (s, (ops, &entry)) in plan.ranges.iter().zip(&plan.entries).enumerate() {
+            let source = match upstream.take() {
+                Some(rx) => Source::Link(rx, entry),
+                None => queue(),
             };
+            let sink = if s + 1 == n {
+                Sink::Reply
+            } else {
+                let (tx, rx, gauge) = spsc::channel::<Micro>(STAGE_CHANNEL_CAP);
+                upstream = Some(rx);
+                gauges.push(gauge);
+                Sink::Link(tx)
+            };
+            stages.push(Stage {
+                ops: ops.clone(),
+                source,
+                sink,
+            });
         }
-        let worker_count = config.resolved_workers();
-        let workers = (0..worker_count)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
+        // Links are single-producer single-consumer, so a sharded engine
+        // runs one thread per stage; the lone queue-to-reply stage of an
+        // unsharded engine runs on every worker.
+        if n == 1 {
+            stages.extend((1..config.resolved_workers()).map(|_| Stage {
+                ops: plan.ranges[0].clone(),
+                source: queue(),
+                sink: Sink::Reply,
+            }));
+        }
+        let workers = stages
+            .into_iter()
+            .map(|stage| {
                 let metrics = Arc::clone(&metrics);
                 let model = Arc::clone(&model);
-                let max_wait = config.max_wait;
-                exits.spawn(move || worker_loop(shared, metrics, model, max_batch, max_wait))
+                exits.spawn(move || stage_loop(&metrics, &model, stage))
             })
             .collect();
         Engine {
@@ -366,7 +358,8 @@ impl Engine {
             workers: Mutex::new(workers),
             exits,
             queue_capacity,
-            pipeline: None,
+            plan,
+            gauges,
         }
     }
 
@@ -375,7 +368,8 @@ impl Engine {
         &self.model
     }
 
-    /// Worker-pool size (`0` once [`drain`](Self::drain) has run).
+    /// Serving threads: the configured workers when unsharded, one per
+    /// stage when sharded (`0` once [`drain`](Self::drain) has run).
     pub fn worker_count(&self) -> usize {
         lock_workers(&self.workers).len()
     }
@@ -578,23 +572,27 @@ impl Engine {
     }
 
     /// Stage topology and queue occupancy when this engine serves a
-    /// sharded pipeline; `None` for the classic worker pool.
+    /// sharded pipeline; `None` when it runs the model as one stage.
     pub fn pipeline_stats(&self) -> Option<PipelineStats> {
-        let shape = self.pipeline.as_ref()?;
-        let stages = shape
+        if self.stage_count() < 2 {
+            return None;
+        }
+        let stages = self
+            .plan
             .ranges
             .iter()
+            .zip(&self.plan.costs)
             .enumerate()
-            .map(|(s, range)| {
+            .map(|(s, (range, &cost_units))| {
                 let (queue_depth, queue_capacity) = if s == 0 {
                     (lock_state(&self.shared).jobs.len(), self.queue_capacity)
                 } else {
-                    let gauge = &shape.gauges[s - 1];
+                    let gauge = &self.gauges[s - 1];
                     (gauge.len(), gauge.capacity())
                 };
                 StageStats {
                     ops: range.clone(),
-                    cost_units: shape.costs[s],
+                    cost_units,
                     queue_depth,
                     queue_capacity,
                 }
@@ -605,7 +603,7 @@ impl Engine {
 
     /// Pipeline stages this engine runs (`1` when serving unsharded).
     pub fn stage_count(&self) -> usize {
-        self.pipeline.as_ref().map_or(1, |p| p.ranges.len())
+        self.plan.ranges.len()
     }
 
     fn begin_shutdown(&self) {
@@ -664,7 +662,7 @@ fn lock_state(shared: &Shared) -> std::sync::MutexGuard<'_, QueueState> {
 ///
 /// Returns `false` only when the engine is shutting down and the queue
 /// has drained (the caller should exit); on `true` the batch is
-/// non-empty.
+/// non-empty and its row count is recorded.
 fn gather_batch(
     shared: &Shared,
     metrics: &Metrics,
@@ -725,6 +723,7 @@ fn gather_batch(
     }
     metrics.set_queue_depth(state.jobs.len());
     drop(state);
+    metrics.record_batch(rows);
     // Queue space was freed by the pops above; wake blocked submitters
     // only now that there is actually room.
     shared.space_ready.notify_all();
@@ -770,92 +769,107 @@ fn answer_err(metrics: &Metrics, batch: &[Job], err: &ServeError) {
     }
 }
 
-fn worker_loop(
-    shared: Arc<Shared>,
-    metrics: Arc<Metrics>,
-    model: Arc<CompiledModel>,
-    max_batch: usize,
-    max_wait: Duration,
-) {
-    // Per-worker scratch, reused across batches: the batch kernel's
-    // arena plus flat input/output staging. Nothing here allocates per
-    // sample once the high-water batch size has been seen.
-    let mut runner = BatchRunner::for_model(&model, max_batch);
-    let mut flat: Vec<f32> = Vec::with_capacity(max_batch * model.input_features());
-    let mut outputs: Vec<f32> = Vec::with_capacity(max_batch * model.output_features());
-    let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
-    let width = model.output_features();
-    while gather_batch(&shared, &metrics, &mut batch, max_batch, max_wait) {
-        let rows: usize = batch.iter().map(|job| job.rows).sum();
-        metrics.record_batch(rows);
-        let inputs = flatten(&batch, &mut flat);
-        // Contain panics so a bad batch cannot kill the worker: a dead
-        // worker would shrink the pool silently, and with no workers
-        // left queued tickets would wait forever. The runner resets its
-        // scratch on every call, so reuse after a panic is safe.
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            runner.run(&model, inputs, &mut outputs)
-        }));
-        match run {
-            Ok(Ok(_)) => {
-                let data: Arc<[f32]> = Arc::from(&outputs[..rows * width]);
-                answer_ok(&metrics, &batch, &data, width);
-            }
-            Ok(Err(err)) => answer_err(&metrics, &batch, &err),
-            Err(payload) => answer_err(
-                &metrics,
-                &batch,
-                &ServeError::WorkerPanic(panic_message(&payload)),
-            ),
-        }
-    }
-}
-
 /// One micro-batch in flight between pipeline stages: the jobs it will
-/// answer, its row counts, and the flow buffer being transformed. The
+/// answer and the flow buffer being transformed. The
 /// buffer *moves* stage to stage — rows are never copied or reordered,
 /// which is half of the bit-identity argument (the other half is that
-/// channels are FIFO and stages run disjoint op ranges in order).
+/// links are FIFO and stages run disjoint op ranges in order).
 struct Micro {
     jobs: Vec<Job>,
-    rows: usize,
-    padded: usize,
     data: FlowData,
 }
 
-/// First pipeline stage: owns the request queue end — gathers dynamic
-/// batches exactly like a classic worker (work-conserving unless
-/// `max_wait` opts into a straggler window), encodes them, runs its op
-/// range, and streams the resulting flow downstream.
-fn stage0_loop(
-    shared: &Shared,
-    metrics: &Metrics,
-    model: &CompiledModel,
-    range: std::ops::Range<usize>,
-    max_batch: usize,
-    max_wait: Duration,
-    tx: &spsc::Sender<Micro>,
-) {
-    let mut runner = BatchRunner::for_model(model, max_batch);
-    let mut flat: Vec<f32> = Vec::with_capacity(max_batch * model.input_features());
-    let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
-    while gather_batch(shared, metrics, &mut batch, max_batch, max_wait) {
+/// Where a stage takes its batches from.
+enum Source {
+    /// The request queue: gather a dynamic batch (see [`gather_batch`])
+    /// and encode it.
+    Queue {
+        shared: Arc<Shared>,
+        max_rows: usize,
+        max_wait: Duration,
+    },
+    /// The upstream stage's link: install the moved-in flow, which
+    /// resumes from the given state.
+    Link(spsc::Receiver<Micro>, FlowState),
+}
+
+/// Where a stage hands its batches to.
+enum Sink {
+    /// The downstream stage's link.
+    Link(spsc::Sender<Micro>),
+    /// The requesters: answer every job from the arena's output rows.
+    Reply,
+}
+
+/// One serving thread's share of the op program.
+struct Stage {
+    ops: std::ops::Range<usize>,
+    source: Source,
+    sink: Sink,
+}
+
+/// The engine's one serving loop: take a batch from the stage's source,
+/// run its op range, hand the result to its sink. An unsharded engine
+/// runs `Queue → 0..op_count → Reply` on every worker; a sharded one
+/// chains stages through links. A queue stage exits once shutdown has
+/// begun and the queue has drained, dropping its link; a link stage
+/// exits once its upstream has dropped the link and it has drained —
+/// shutdown cascades from the queue.
+///
+/// A panic while executing one batch fails exactly that batch's jobs as
+/// [`ServeError::WorkerPanic`] and the stage keeps serving: a dead
+/// thread would stall every ticket behind it. The runner resets its
+/// scratch on every call, so reuse after a panic is safe.
+fn stage_loop(metrics: &Metrics, model: &CompiledModel, stage: Stage) {
+    let Stage { ops, source, sink } = stage;
+    // Per-thread scratch, reused across batches. A queue stage reserves
+    // its arena for a full batch up front, so steady-state serving
+    // allocates nothing per sample; a link stage's arena grows to the
+    // first micro-batch instead of reserving the whole model's widest
+    // flow at full batch in every stage.
+    let reserve_rows = match source {
+        Source::Queue { max_rows, .. } => max_rows,
+        Source::Link(..) => 1,
+    };
+    let mut runner = BatchRunner::for_model(model, reserve_rows);
+    let mut flat: Vec<f32> = Vec::new();
+    let mut batch: Vec<Job> = Vec::new();
+    loop {
+        let handoff = match &source {
+            Source::Queue {
+                shared,
+                max_rows,
+                max_wait,
+            } => {
+                if !gather_batch(shared, metrics, &mut batch, *max_rows, *max_wait) {
+                    return;
+                }
+                None
+            }
+            Source::Link(rx, entry) => {
+                let Some(micro) = rx.recv() else { return };
+                batch = micro.jobs;
+                Some((*entry, micro.data))
+            }
+        };
         let rows: usize = batch.iter().map(|job| job.rows).sum();
-        metrics.record_batch(rows);
         let padded = pad_rows(rows);
-        let inputs = flatten(&batch, &mut flat);
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let entry = runner.encode_batch(model, inputs, padded);
-            let data = runner.take_flow(entry.domain);
-            runner.run_segment(model, range.clone(), entry, data, padded)
-        }));
-        match run {
-            Ok(Ok((_, data))) => {
+            let entry = match handoff {
+                None => runner.encode_batch(model, flatten(&batch, &mut flat), padded),
+                Some((entry, data)) => {
+                    runner.install(entry, data)?;
+                    entry
+                }
+            };
+            runner.exec_ops(model, ops.clone(), entry, padded)
+        }))
+        .unwrap_or_else(|payload| Err(ServeError::WorkerPanic(panic_message(&payload))));
+        match (run, &sink) {
+            (Ok(exit), Sink::Link(tx)) => {
                 let micro = Micro {
                     jobs: std::mem::take(&mut batch),
-                    rows,
-                    padded,
-                    data,
+                    data: runner.take_flow(exit.domain),
                 };
                 // Blocks while downstream is busy — this is the
                 // backpressure path. `Err` means the next stage is gone,
@@ -865,82 +879,11 @@ fn stage0_loop(
                     return;
                 }
             }
-            Ok(Err(err)) => answer_err(metrics, &batch, &err),
-            Err(payload) => answer_err(
-                metrics,
-                &batch,
-                &ServeError::WorkerPanic(panic_message(&payload)),
-            ),
-        }
-    }
-}
-
-/// A non-first pipeline stage: receives micro-batches in FIFO order,
-/// runs its op range over the moved-in flow buffer, and either forwards
-/// downstream or (last stage) answers every job. Exits when the
-/// upstream sender drops *and* the channel has drained — shutdown is a
-/// cascade from stage 0.
-///
-/// A panic while executing one micro-batch fails exactly that batch's
-/// jobs as [`ServeError::WorkerPanic`]; the stage keeps serving — the
-/// same containment contract as the classic pool.
-fn stage_loop(
-    metrics: &Metrics,
-    model: &CompiledModel,
-    range: std::ops::Range<usize>,
-    entry: FlowState,
-    rx: &spsc::Receiver<Micro>,
-    tx: Option<&spsc::Sender<Micro>>,
-) {
-    // The arena resizes to the first micro-batch; sizing it up front
-    // would need max_batch plumbing for no steady-state difference.
-    let mut runner = BatchRunner::for_model(model, 1);
-    while let Some(micro) = rx.recv() {
-        let Micro {
-            jobs,
-            rows,
-            padded,
-            data,
-        } = micro;
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            runner.run_segment(model, range.clone(), entry, data, padded)
-        }));
-        match run {
-            Ok(Ok((exit, data))) => {
-                if let Some(tx) = tx {
-                    if tx
-                        .send(Micro {
-                            jobs,
-                            rows,
-                            padded,
-                            data,
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                } else {
-                    match data {
-                        FlowData::Floats(values) => {
-                            let data: Arc<[f32]> = Arc::from(&values[..rows * exit.width]);
-                            answer_ok(metrics, &jobs, &data, exit.width);
-                        }
-                        FlowData::Codes(_) => answer_err(
-                            metrics,
-                            &jobs,
-                            &ServeError::Artifact(ArtifactError::Malformed(
-                                "program ended in encoded domain".into(),
-                            )),
-                        ),
-                    }
-                }
-            }
-            Ok(Err(err)) => answer_err(metrics, &jobs, &err),
-            Err(payload) => answer_err(
-                metrics,
-                &jobs,
-                &ServeError::WorkerPanic(panic_message(&payload)),
-            ),
+            (Ok(exit), Sink::Reply) => match runner.output(exit, rows) {
+                Ok(out) => answer_ok(metrics, &batch, &Arc::from(out), exit.width),
+                Err(err) => answer_err(metrics, &batch, &err),
+            },
+            (Err(err), _) => answer_err(metrics, &batch, &err),
         }
     }
 }

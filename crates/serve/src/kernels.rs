@@ -248,15 +248,8 @@ impl BatchRunner {
         let padded = pad_rows(rows);
         let entry = self.encode_batch(model, inputs, padded);
         let exit = self.exec_ops(model, 0..model.ops.len(), entry, padded)?;
-        match exit.domain {
-            Domain::Floats => {
-                out.extend_from_slice(&self.floats[..rows * exit.width]);
-                Ok(rows)
-            }
-            Domain::Codes => Err(ServeError::Artifact(ArtifactError::Malformed(
-                "program ended in encoded domain".into(),
-            ))),
-        }
+        out.extend_from_slice(self.output(exit, rows)?);
+        Ok(rows)
     }
 
     /// Encodes a `padded`-row batch through the model's virtual input
@@ -285,8 +278,7 @@ impl BatchRunner {
 
     /// Takes the current flow out of the arena as an owned buffer for a
     /// cross-stage handoff (the arena keeps its other scratch; the next
-    /// [`run_segment`](Self::run_segment) swaps an incoming buffer back
-    /// in).
+    /// stage [`install`](Self::install)s the buffer into its own).
     pub(crate) fn take_flow(&mut self, domain: Domain) -> FlowData {
         match domain {
             Domain::Codes => FlowData::Codes(std::mem::take(&mut self.codes)),
@@ -294,29 +286,21 @@ impl BatchRunner {
         }
     }
 
-    /// Runs the contiguous op range of one pipeline stage: installs the
-    /// handed-off `data` as the current flow, executes `range` from
-    /// `entry`, and extracts the resulting flow for the next stage.
+    /// Installs a flow handed off by the upstream stage as the arena's
+    /// current flow, so [`exec_ops`](Self::exec_ops) resumes from
+    /// `entry`.
     ///
     /// The planner guarantees `entry` matches the upstream stage's exit
-    /// state and that `range` never cuts a residual region; under those
-    /// invariants the concatenation of all stages' `run_segment` calls
-    /// performs exactly the op sequence (and arithmetic order) of an
-    /// uncut [`run`](Self::run), so outputs are bit-identical.
+    /// state and that no stage cuts a residual region; under those
+    /// invariants the stages' `exec_ops` calls perform exactly the op
+    /// sequence (and arithmetic order) of an uncut [`run`](Self::run),
+    /// so outputs are bit-identical.
     ///
     /// # Errors
     ///
     /// [`ServeError::Artifact`] when `data`'s domain contradicts
-    /// `entry` (a planner/handoff bug, never input-dependent) or the
-    /// range itself is malformed.
-    pub(crate) fn run_segment(
-        &mut self,
-        model: &CompiledModel,
-        range: std::ops::Range<usize>,
-        entry: FlowState,
-        data: FlowData,
-        padded: usize,
-    ) -> Result<(FlowState, FlowData)> {
+    /// `entry` (a planner/handoff bug, never input-dependent).
+    pub(crate) fn install(&mut self, entry: FlowState, data: FlowData) -> Result<()> {
         match (entry.domain, data) {
             (Domain::Codes, FlowData::Codes(v)) => self.codes = v,
             (Domain::Floats, FlowData::Floats(v)) => self.floats = v,
@@ -326,9 +310,23 @@ impl BatchRunner {
                 )))
             }
         }
-        let exit = self.exec_ops(model, range, entry, padded)?;
-        let out = self.take_flow(exit.domain);
-        Ok((exit, out))
+        Ok(())
+    }
+
+    /// The first `rows` decoded output rows, read in place from the
+    /// arena, of a program that ended at `exit`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Artifact`] when the program ended in the encoded
+    /// domain.
+    pub(crate) fn output(&self, exit: FlowState, rows: usize) -> Result<&[f32]> {
+        match exit.domain {
+            Domain::Floats => Ok(&self.floats[..rows * exit.width]),
+            Domain::Codes => Err(ServeError::Artifact(ArtifactError::Malformed(
+                "program ended in encoded domain".into(),
+            ))),
+        }
     }
 
     /// Executes the ops in `range` (global op indices) over the current
@@ -338,7 +336,7 @@ impl BatchRunner {
     ///
     /// Quantization state is looked up by *global* op index, so a stage
     /// executes exactly the kernels the unsharded run would.
-    fn exec_ops(
+    pub(crate) fn exec_ops(
         &mut self,
         model: &CompiledModel,
         range: std::ops::Range<usize>,

@@ -17,11 +17,13 @@
 //!   over a reusable scratch arena: each op runs once per batch across
 //!   all rows, with zero per-sample heap allocations in the steady
 //!   state and outputs bit-for-bit identical to per-sample `infer`.
-//! * [`engine`] — [`Engine`] serves a compiled model from a worker pool
-//!   with a bounded queue, work-conserving dynamic batching, explicit
-//!   backpressure ([`ServeError::QueueFull`]) and draining shutdown.
-//!   Each worker owns a persistent [`BatchRunner`] and executes its
-//!   gathered batch in one kernel call.
+//! * [`engine`] — [`Engine`] serves a compiled model through one
+//!   serving loop: each stage takes a batch from the bounded request
+//!   queue or an upstream link, runs its op range on a persistent
+//!   [`BatchRunner`], and hands the result downstream or to the
+//!   requesters. Unsharded serving is one stage on several threads,
+//!   with work-conserving dynamic batching, explicit backpressure
+//!   ([`ServeError::QueueFull`]) and draining shutdown.
 //! * [`lint`] — [`lint_bytes`] runs the same analyzer over raw
 //!   artifact bytes and returns its full diagnostic report; the report
 //!   is clean exactly when [`CompiledModel::from_bytes_strict`], the one
@@ -29,8 +31,8 @@
 //! * [`pipeline`] — stage planning for sharded serving:
 //!   [`EngineConfig::stages`] splits the op program into balanced
 //!   contiguous ranges (cost-weighted by the analyzer's per-op
-//!   estimates), each run by its own worker and scratch arena with
-//!   bounded channels between them — same bit-identical outputs,
+//!   estimates), each run by its own thread and scratch arena with
+//!   bounded links between them — same bit-identical outputs,
 //!   pipelined throughput on deep models.
 //! * [`metrics`] — [`Metrics`]/[`ServerStats`]: throughput and
 //!   queue-depth counters plus a log-scale latency histogram.

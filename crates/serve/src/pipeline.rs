@@ -7,7 +7,7 @@
 //! scale: [`plan_stages`] shards a [`CompiledModel`]'s op program into
 //! up to N contiguous ranges, balanced over the analyzer's per-op cost
 //! estimates ([`rapidnn_analyze::op_costs`]), so the engine can run one
-//! worker (and one `BatchRunner` arena) per stage with bounded SPSC
+//! thread (and one `BatchRunner` arena) per stage with bounded SPSC
 //! channels between them ([`rapidnn_pool::spsc`]).
 //!
 //! # Legal cut points
@@ -37,7 +37,10 @@ use std::ops::Range;
 
 /// How a model is sharded: `ranges[s]` is stage `s`'s contiguous op
 /// range, `entries[s]` the flow state it resumes from, `costs[s]` its
-/// per-sample cost estimate in analyzer units.
+/// per-sample cost estimate in analyzer units. An unsharded model is
+/// the one stage `0..op_count`, whose cost is left at 0: only a sharded
+/// engine reports stage costs, and estimating them widens a bit-packed
+/// model's whole code pool.
 #[derive(Debug, Clone)]
 pub(crate) struct StagePlan {
     pub(crate) ranges: Vec<Range<usize>>,
@@ -151,16 +154,19 @@ pub(crate) fn cut_points(model: &CompiledModel) -> Vec<usize> {
 
 /// Shards `model` into at most `stages` contiguous op ranges, balanced
 /// to minimize the maximum per-stage cost (the pipeline's throughput
-/// bound). Returns `None` when fewer than two stages are possible or
-/// requested — the caller then serves unsharded.
-pub(crate) fn plan_stages(model: &CompiledModel, stages: usize) -> Option<StagePlan> {
-    if stages < 2 || model.ops.is_empty() {
-        return None;
-    }
+/// bound). When fewer than two stages are possible or requested the
+/// plan is the single whole-program stage.
+pub(crate) fn plan_stages(model: &CompiledModel, stages: usize) -> StagePlan {
+    let (states, _) = flow_states(model);
     let cuts = cut_points(model);
     let k = stages.min(cuts.len() + 1);
     if k < 2 {
-        return None;
+        let whole = 0..model.ops.len();
+        return StagePlan {
+            ranges: vec![whole],
+            entries: vec![states[0]],
+            costs: vec![0],
+        };
     }
 
     let per_op: Vec<u64> = rapidnn_analyze::op_costs(&model.to_program())
@@ -222,7 +228,6 @@ pub(crate) fn plan_stages(model: &CompiledModel, stages: usize) -> Option<StageP
     splits.push(0);
     splits.reverse();
 
-    let (states, _) = flow_states(model);
     let mut ranges = Vec::with_capacity(k);
     let mut entries = Vec::with_capacity(k);
     let mut costs = Vec::with_capacity(k);
@@ -233,11 +238,11 @@ pub(crate) fn plan_stages(model: &CompiledModel, stages: usize) -> Option<StageP
         costs.push(run(w[0], w[1]));
     }
     debug_assert_eq!(ranges.len(), k);
-    Some(StagePlan {
+    StagePlan {
         ranges,
         entries,
         costs,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -266,11 +271,11 @@ mod tests {
                 "static flow state before op {} diverges from the dynamic exit",
                 w[0]
             );
-            let (exit, out) = runners[s]
-                .run_segment(model, w[0]..w[1], entry, data, padded)
+            runners[s].install(entry, data).unwrap();
+            entry = runners[s]
+                .exec_ops(model, w[0]..w[1], entry, padded)
                 .unwrap();
-            entry = exit;
-            data = out;
+            data = runners[s].take_flow(entry.domain);
         }
         match data {
             FlowData::Floats(v) => v[..rows * entry.width].to_vec(),
@@ -381,13 +386,18 @@ mod tests {
         }
     }
 
-    /// A no-op-cut model (single op) cannot be sharded.
+    /// A no-op-cut model (single op) cannot be sharded: any stage count
+    /// plans the one whole-program stage.
     #[test]
     fn single_op_model_refuses_to_shard() {
         let model = CompiledModel::broken_for_tests();
         assert_eq!(model.ops.len(), 1);
-        assert!(plan_stages(&model, 4).is_none());
-        assert!(plan_stages(&model, 1).is_none());
+        for stages in [0, 1, 4] {
+            let plan = plan_stages(&model, stages);
+            assert_eq!(plan.ranges.len(), 1, "stages {stages}");
+            assert_eq!(plan.ranges[0], 0..1);
+            assert_eq!(plan.entries, vec![flow_states(&model).0[0]]);
+        }
     }
 
     /// Ranges must tile the program contiguously and enter at depth 0.
@@ -395,7 +405,7 @@ mod tests {
     fn plan_tiles_the_program() {
         let model = CompiledModel::deep_for_tests(6);
         for stages in 2..=4 {
-            let plan = plan_stages(&model, stages).expect("shardable");
+            let plan = plan_stages(&model, stages);
             assert!(plan.ranges.len() >= 2 && plan.ranges.len() <= stages);
             assert_eq!(plan.ranges[0].start, 0);
             assert_eq!(plan.ranges.last().unwrap().end, model.ops.len());
@@ -412,7 +422,7 @@ mod tests {
     #[test]
     fn stage_count_clamps_to_cut_points() {
         let model = CompiledModel::deep_for_tests(3);
-        let plan = plan_stages(&model, 64).expect("shardable");
+        let plan = plan_stages(&model, 64);
         assert_eq!(plan.ranges.len(), model.ops.len());
     }
 
@@ -422,13 +432,9 @@ mod tests {
     #[test]
     fn balance_reduces_the_bottleneck() {
         let model = CompiledModel::deep_for_tests(8);
-        let total: u64 = plan_stages(&model, 2)
-            .expect("shardable")
-            .costs
-            .iter()
-            .sum();
+        let total: u64 = plan_stages(&model, 2).costs.iter().sum();
         for stages in 2..=4 {
-            let plan = plan_stages(&model, stages).expect("shardable");
+            let plan = plan_stages(&model, stages);
             let max = *plan.costs.iter().max().unwrap();
             assert!(max < total, "stage {stages}: {max} vs {total}");
         }

@@ -13,10 +13,20 @@ use std::time::Duration;
 const FEATURES: usize = 6;
 
 fn compiled_model(rng: &mut SeededRng) -> CompiledModel {
+    compiled_deep_model(rng, 1)
+}
+
+/// `hidden` sigmoid layers of width 12 before the 3-output layer: one
+/// op per dense layer, so up to `hidden + 1` pipeline stages.
+fn compiled_deep_model(rng: &mut SeededRng, hidden: usize) -> CompiledModel {
     let mut net = Network::new(FEATURES);
-    net.push(Dense::new(FEATURES, 12, rng));
-    net.push(ActivationLayer::new(Activation::Sigmoid));
-    net.push(Dense::new(12, 3, rng));
+    let mut width = FEATURES;
+    for _ in 0..hidden {
+        net.push(Dense::new(width, 12, rng));
+        net.push(ActivationLayer::new(Activation::Sigmoid));
+        width = 12;
+    }
+    net.push(Dense::new(width, 3, rng));
     let data = SyntheticSpec::new(FEATURES, 3, 2.0)
         .generate(40, rng)
         .unwrap();
@@ -266,13 +276,15 @@ fn drain_report_counts_in_flight_at_deadline() {
 /// Drains through a shared handle while another thread holds a clone
 /// of the engine and waits on a ticket queued behind a long job: the
 /// ticket is answered, the workers join, and every accepted request is
-/// accounted for. Unsharded and 2-stage engines alike.
+/// accounted for. One-stage engines (`stages` 0 and 1) and a 3-stage
+/// pipeline, whose middle stage is the only link-to-link stage in the
+/// shutdown cascade.
 #[test]
 fn drain_through_shared_handle_answers_the_pending_ticket() {
-    for stages in [0, 2] {
+    for stages in [0, 1, 3] {
         let mut rng = SeededRng::new(11);
         let engine = Arc::new(Engine::start(
-            compiled_model(&mut rng),
+            compiled_deep_model(&mut rng, 2),
             EngineConfig {
                 workers: 1,
                 queue_capacity: 64,
@@ -281,6 +293,7 @@ fn drain_through_shared_handle_answers_the_pending_ticket() {
                 ..EngineConfig::default()
             },
         ));
+        assert_eq!(engine.stage_count(), stages.max(1));
         // A long pre-batched job keeps the engine busy, so the single
         // request behind it is normally still queued when the drain
         // begins; every assertion below holds whichever finishes first.

@@ -84,7 +84,7 @@ fn optimized_models_infer_bit_identically() {
 }
 
 /// Optimized models still serve through every execution shape: the
-/// classic worker pool and sharded pipelines answer with the *source*
+/// unsharded engine and sharded pipelines answer with the *source*
 /// model's per-sample bits.
 #[test]
 fn optimized_models_shard_bit_identically() {

@@ -53,24 +53,40 @@ fn model_variants() -> Vec<(String, CompiledModel)> {
 #[test]
 fn sharded_engine_matches_per_sample_inference_bit_for_bit() {
     let variants = model_variants();
-    // (stages, workers): stages 0 = classic pool (worker count varies),
-    // stages 2..=4 = pipeline (one thread per stage, workers ignored).
-    let configs = [(0usize, 1usize), (0, 4), (2, 1), (3, 1), (4, 1)];
+    // (stages, workers, max_wait): stages 0 and 1 = one whole-program
+    // stage on `workers` threads, stages 2..=4 = pipeline (one thread
+    // per stage, workers ignored). The zero wait is the default,
+    // work-conserving batcher; 200 µs opts into the straggler window.
+    let window = Duration::from_micros(200);
+    let configs = [
+        (0usize, 1usize, window),
+        (0, 4, window),
+        (0, 2, Duration::ZERO),
+        (1, 2, window),
+        (2, 1, window),
+        (2, 1, Duration::ZERO),
+        (3, 1, window),
+        (4, 1, window),
+    ];
     check(4, |rng| {
         for (label, model) in &variants {
             let features = model.input_features();
-            for &(stages, workers) in &configs {
+            for &(stages, workers, max_wait) in &configs {
                 let engine = Engine::start(
                     model.clone(),
                     EngineConfig {
                         workers,
                         stages,
                         max_batch_size: 4,
-                        max_wait: Duration::from_micros(200),
+                        max_wait,
                         ..EngineConfig::default()
                     },
                 );
-                if stages >= 2 {
+                if stages < 2 {
+                    assert_eq!(engine.stage_count(), 1, "{label} stages={stages}");
+                    assert!(engine.pipeline_stats().is_none());
+                    assert_eq!(engine.worker_count(), workers);
+                } else {
                     let stats = engine.pipeline_stats().expect("sharded engine has stages");
                     assert!(stats.stages.len() >= 2 && stats.stages.len() <= stages);
                     assert!(stats.stages.iter().all(|s| s.cost_units > 0));
@@ -121,9 +137,9 @@ fn sharded_engine_matches_per_sample_inference_bit_for_bit() {
 }
 
 /// A single pre-batched request larger than `max_batch_size` still
-/// runs (alone, in one kernel call) on both the classic pool and the
-/// sharded pipeline, and the batch-size distribution records the true
-/// row counts.
+/// runs (alone, in one kernel call) on both an unsharded and a sharded
+/// engine, and the batch-size distribution records the true row
+/// counts.
 #[test]
 fn oversized_batch_submission_runs_alone() {
     let mut rng = SeededRng::new(77);
